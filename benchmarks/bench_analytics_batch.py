@@ -11,7 +11,7 @@ did before the refactor.
 Gates (ISSUE 3 acceptance):
 
 * clique ``n = 100`` ``B(G)`` estimate: **≥ 5×** speedup with the native
-  multi-replica kernel, **≥ 2×** on the no-compiler NumPy fallback;
+  epoch kernel, **≥ 2×** on the no-compiler NumPy fallback;
 * the serial and batched estimates agree statistically (independent
   streams, same estimator/sources).  Bit-identity across replica-batch
   widths and execution paths is pinned by ``tests/test_analytics_batch.py``.
@@ -28,7 +28,7 @@ import pytest
 
 from repro.analytics.estimators import broadcast_trajectory_seed, select_sources
 from repro.core.scheduler import RandomScheduler
-from repro.engine.native import get_broadcast_kernel, get_broadcast_multi_kernel, reset_kernel_cache
+from repro.engine.native import get_broadcast_epoch_kernel, get_broadcast_kernel, reset_kernel_cache
 from repro.experiments import render_table
 from repro.graphs import clique
 from repro.propagation import broadcast_time_estimate
@@ -130,7 +130,7 @@ def _measure(graph):
 def test_replica_batched_broadcast_speedup(benchmark, report):
     """Native kernel: batched B(G) on K_100 must beat trajectory-serial ≥5×."""
     graph = clique(N)
-    native = get_broadcast_multi_kernel() is not None
+    native = get_broadcast_epoch_kernel() is not None
     serial_s, batched_s, value = run_once(benchmark, _measure, graph)
     speedup = serial_s / batched_s
     trajectories = REPETITIONS * MAX_SOURCES

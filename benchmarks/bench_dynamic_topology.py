@@ -37,8 +37,8 @@ from repro.analytics.estimators import broadcast_trajectory_seed, select_sources
 from repro.analytics.epidemics import run_epidemic_batch
 from repro.dynamics import DynamicScheduler, EpochSchedule, StaticSchedule
 from repro.engine.native import (
+    get_broadcast_epoch_kernel,
     get_broadcast_kernel,
-    get_broadcast_multi_kernel,
     reset_kernel_cache,
 )
 from repro.experiments import render_table
@@ -162,7 +162,7 @@ def test_dynamic_epidemic_batch_speedup(benchmark, report):
     graph = clique(N)
     schedule = _dynamic_schedule(graph)
     budget = 40 * default_broadcast_budget(graph)
-    native = get_broadcast_multi_kernel() is not None
+    native = get_broadcast_epoch_kernel() is not None
     serial_s, batched_s, serial, batched = run_once(
         benchmark, _measure_dynamic, graph, schedule, budget
     )

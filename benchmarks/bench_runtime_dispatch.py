@@ -2,25 +2,23 @@
 
 The execution-plan runtime routes every harness measurement through the
 replica-batched stack by default: all trials of a (protocol, graph) cell
-advance together, one ``repro_run_multi`` C-kernel call per
-certificate-cadence block, scheduler streams consumed as raw directed
-pair indices, and the kernel-maintained leader counts gating the Python
-certificate.  This benchmark gates that path against **trial-serial**
-dispatch — one ``run_leader_election`` per trial, the harness's
-pre-runtime execution plan — on the Table-1 clique-100 workload:
+advance together through ``repro_run_epoch`` C-kernel calls, each
+trial's seeded stream drawn inside the kernel, and the kernel-maintained
+leader counts gating the Python certificate.  This benchmark gates that
+path against **trial-serial** dispatch — one ``run_leader_election`` per
+trial, the harness's pre-runtime execution plan — on the Table-1
+clique-100 workload:
 
 * ``test_batched_measurement_speedup`` (token protocol, 64 trials) must
-  show **≥ 2×** with the native kernel.  Without it the stack is
+  show **≥ 3×** with the native kernel.  Without it the stack is
   unavailable and the plan executes trial-sequentially; the gate then
   only requires no regression (≥ 0.7×).
 * ``test_fast_protocol_measurement`` adds the fast protocol, whose
   measurement additionally batches all trials' ``B(G)`` epidemics into
   one replica stack (native floor 1.4×).
-* ``test_kernel_v6_epoch_speedup`` gates kernel v6 (in-kernel SplitMix64
-  streams, one C call per epoch) against the v5 refill stack on the same
-  workload: **≥ 1.5×** single-thread.
-* ``test_kernel_v6_threaded_speedup`` additionally requires **≥ 2.5×**
-  over v5 with 4 kernel threads; it runs only where 4 cores exist.
+* ``test_kernel_threaded_speedup`` requires the stack with 4 kernel
+  threads to run **≥ 1.6×** faster than with 1; it runs only where 4
+  cores exist.
 
 Every test first asserts the faster path's results are **bit-identical**
 to the slower ones (wall time aside) — the speedup must never come at
@@ -36,7 +34,7 @@ import pytest
 
 from repro.core.seeds import trial_seed
 from repro.core.simulator import run_leader_election
-from repro.engine.native import get_run_epoch_kernel, get_run_multi_kernel
+from repro.engine.native import get_run_epoch_kernel
 from repro.experiments import render_table
 from repro.experiments.harness import (
     default_step_budget,
@@ -47,7 +45,7 @@ from repro.experiments.harness import (
 )
 from repro.graphs import clique
 from repro.runtime import compile_plan
-from repro.runtime.execute import _execute_stack, _execute_stack_v6
+from repro.runtime.execute import _execute_stack
 
 from _helpers import run_once
 
@@ -120,7 +118,7 @@ def _report_row(report, title, repetitions, batched_s, serial_s, results, native
                     "trial-serial s": round(serial_s, 3),
                     "batched s": round(batched_s, 3),
                     "speedup": round(speedup, 2),
-                    "path": "C multi-kernel stack" if native else "sequential fallback",
+                    "path": "C epoch-kernel stack" if native else "sequential fallback",
                 }
             ],
             title=title,
@@ -131,8 +129,8 @@ def _report_row(report, title, repetitions, batched_s, serial_s, results, native
 
 @pytest.mark.benchmark(group="runtime-dispatch")
 def test_batched_measurement_speedup(benchmark, report):
-    """Batched harness measurements must beat trial-serial ≥2× (native)."""
-    native = get_run_multi_kernel() is not None
+    """Batched harness measurements must beat trial-serial ≥3× (native)."""
+    native = get_run_epoch_kernel() is not None
     batched_s, serial_s, results, _ = run_once(
         benchmark, _measure_dispatch, token_protocol_spec(), 64
     )
@@ -145,14 +143,14 @@ def test_batched_measurement_speedup(benchmark, report):
         results,
         native,
     )
-    floor = 2.0 if native else 0.7
+    floor = 3.0 if native else 0.7
     assert speedup >= floor, f"speedup {speedup:.2f}x below the {floor}x gate"
 
 
 @pytest.mark.benchmark(group="runtime-dispatch")
 def test_fast_protocol_measurement(benchmark, report):
     """Fast protocol: plan batches the trials AND their B(G) epidemics."""
-    native = get_run_multi_kernel() is not None
+    native = get_run_epoch_kernel() is not None
     batched_s, serial_s, results, _ = run_once(
         benchmark, _measure_dispatch, fast_protocol_spec(), 24
     )
@@ -181,7 +179,7 @@ def _result_tuple(result):
     )
 
 
-def _v6_plan(spec, graph, seeds, budget, threads):
+def _stack_plan(spec, graph, seeds, budget, threads):
     protocol = spec.factory(graph, seeds[0])
     return compile_plan(
         [protocol] * len(seeds),
@@ -193,92 +191,61 @@ def _v6_plan(spec, graph, seeds, budget, threads):
     )
 
 
-def _measure_v6_vs_v5(repetitions, threads):
-    """(v6 seconds, v5 seconds, results) on the Table-1 clique workload."""
+def _measure_threads(repetitions, threads):
+    """(threaded seconds, 1-thread seconds, results) on the Table-1 clique workload."""
     spec = token_protocol_spec()
     graph = clique(N)
     budget = default_step_budget(graph)
     seeds = [trial_seed(BASE_SEED, index) for index in range(repetitions)]
 
     # Untimed warm-up: kernel + table compilation outside the measurement.
-    _execute_stack_v6(_v6_plan(spec, graph, seeds[:2], budget, threads))
-    _execute_stack(_v6_plan(spec, graph, seeds[:2], budget, threads))
+    _execute_stack(_stack_plan(spec, graph, seeds[:2], budget, threads))
+    _execute_stack(_stack_plan(spec, graph, seeds[:2], budget, 1))
 
-    v6_seconds = float("inf")
-    v5_seconds = float("inf")
-    via_v6 = None
-    via_v5 = None
+    threaded_seconds = float("inf")
+    single_seconds = float("inf")
+    threaded = None
+    single = None
     for _ in range(4):
         start = time.perf_counter()
-        via_v6 = _execute_stack_v6(_v6_plan(spec, graph, seeds, budget, threads))
-        v6_seconds = min(v6_seconds, time.perf_counter() - start)
+        threaded = _execute_stack(_stack_plan(spec, graph, seeds, budget, threads))
+        threaded_seconds = min(threaded_seconds, time.perf_counter() - start)
 
         start = time.perf_counter()
-        via_v5 = _execute_stack(_v6_plan(spec, graph, seeds, budget, threads))
-        v5_seconds = min(v5_seconds, time.perf_counter() - start)
+        single = _execute_stack(_stack_plan(spec, graph, seeds, budget, 1))
+        single_seconds = min(single_seconds, time.perf_counter() - start)
 
-    for index, (a, b) in enumerate(zip(via_v6, via_v5)):
+    for index, (a, b) in enumerate(zip(threaded, single)):
         assert _result_tuple(a) == _result_tuple(b), (
-            f"trial {index} diverged between the v6 and v5 stacks"
+            f"trial {index} diverged between {threads} kernel threads and 1"
         )
-    return v6_seconds, v5_seconds, via_v6
+    return threaded_seconds, single_seconds, threaded
 
 
-def _report_v6_row(report, title, repetitions, threads, v6_s, v5_s, results):
-    speedup = v5_s / v6_s
+@pytest.mark.benchmark(group="runtime-dispatch")
+@pytest.mark.skipif(get_run_epoch_kernel() is None, reason="epoch kernel unavailable")
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 4, reason="threaded gate needs at least 4 cores"
+)
+def test_kernel_threaded_speedup(benchmark, report):
+    """Four kernel threads must beat one ≥1.6× (same results)."""
+    threaded_s, single_s, results = run_once(benchmark, _measure_threads, 64, 4)
+    speedup = single_s / threaded_s
     report(
         render_table(
             [
                 {
                     "graph": f"clique n={N}",
-                    "trials": repetitions,
-                    "threads": threads,
+                    "trials": 64,
                     "mean steps": round(
                         sum(r.steps_executed for r in results) / len(results), 1
                     ),
-                    "v5 stack ms": round(v5_s * 1000, 1),
-                    "v6 epoch ms": round(v6_s * 1000, 1),
+                    "1 thread ms": round(single_s * 1000, 1),
+                    "4 threads ms": round(threaded_s * 1000, 1),
                     "speedup": round(speedup, 2),
                 }
             ],
-            title=title,
+            title="RUNTIME: epoch stack, 4 kernel threads vs 1 (token, clique n=100)",
         )
     )
-    return speedup
-
-
-@pytest.mark.benchmark(group="runtime-dispatch")
-@pytest.mark.skipif(get_run_epoch_kernel() is None, reason="kernel v6 unavailable")
-def test_kernel_v6_epoch_speedup(benchmark, report):
-    """In-kernel streams must beat the v5 refill stack ≥1.5× single-thread."""
-    v6_s, v5_s, results = run_once(benchmark, _measure_v6_vs_v5, 64, 1)
-    speedup = _report_v6_row(
-        report,
-        "RUNTIME: kernel v6 (in-kernel streams) vs v5 refill stack (token, clique n=100)",
-        64,
-        1,
-        v6_s,
-        v5_s,
-        results,
-    )
-    assert speedup >= 1.5, f"v6 speedup {speedup:.2f}x below the 1.5x gate"
-
-
-@pytest.mark.benchmark(group="runtime-dispatch")
-@pytest.mark.skipif(get_run_epoch_kernel() is None, reason="kernel v6 unavailable")
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 4, reason="threaded gate needs at least 4 cores"
-)
-def test_kernel_v6_threaded_speedup(benchmark, report):
-    """Four kernel threads must beat the v5 stack ≥2.5× (same results)."""
-    v6_s, v5_s, results = run_once(benchmark, _measure_v6_vs_v5, 64, 4)
-    speedup = _report_v6_row(
-        report,
-        "RUNTIME: kernel v6 with 4 threads vs v5 refill stack (token, clique n=100)",
-        64,
-        4,
-        v6_s,
-        v5_s,
-        results,
-    )
-    assert speedup >= 2.5, f"threaded v6 speedup {speedup:.2f}x below the 2.5x gate"
+    assert speedup >= 1.6, f"threaded speedup {speedup:.2f}x below the 1.6x gate"

@@ -18,9 +18,10 @@ stabilized stragglers do not drag the batch.
 
 Three execution paths produce bit-identical results:
 
-* the multi-replica C kernels (:func:`repro.engine.native.get_broadcast_multi_kernel`,
-  :func:`~repro.engine.native.get_influence_multi_kernel`) — interpreter-free
-  inner loops over the whole ``(R, block)`` matrix;
+* the epoch C kernels (:func:`repro.engine.native.get_broadcast_epoch_kernel`,
+  :func:`~repro.engine.native.get_influence_epoch_kernel`) — interpreter-free
+  inner loops over the whole ``(R, block)`` stack, drawing each
+  trajectory's stream inside the kernel;
 * a vectorized NumPy path — a Python loop over the block's steps with all
   replica-axis work done in array operations (the no-compiler fallback);
 * a scalar path for tiny stacks (``R < 4``), where per-element NumPy
@@ -36,9 +37,7 @@ import numpy as np
 from ..engine.native import (
     RNG_STATE_WORDS,
     get_broadcast_epoch_kernel,
-    get_broadcast_multi_kernel,
     get_influence_epoch_kernel,
-    get_influence_multi_kernel,
     kernel_thread_count,
 )
 from ..graphs.graph import Graph
@@ -83,7 +82,7 @@ def _writeback_stream_states(
 ) -> None:
     """Import kernel RNG rows back into the streams selected by ``mask``.
 
-    The v6 kernels burn a finished replica's remaining block draws, so
+    The epoch kernels burn a finished replica's remaining block draws, so
     the written-back generator state is exactly where the NumPy path
     (which pre-draws whole blocks) would have left it.
     """
@@ -213,9 +212,8 @@ def _run_epidemic_stack(
         if stopmasks is None
         else np.ascontiguousarray(stopmasks, dtype=np.uint8)
     )
-    kernel = get_broadcast_multi_kernel()
     epoch_kernel = get_broadcast_epoch_kernel()
-    # v6: draw inside the kernel.  Stream states move into RNG rows and
+    # Draw inside the kernel.  Stream states move into RNG rows and
     # are written back whenever a stream leaves the stack, so callers
     # holding the stream (run_single_epidemic) observe exactly the state
     # the NumPy draw path would have left.
@@ -249,20 +247,7 @@ def _run_epidemic_stack(
         else:
             draws = np.empty((a, block), dtype=np.int64)
             fill_draw_rows(schedulers, draws, pair_count)
-            if kernel is not None:
-                kernel(
-                    informed.ctypes.data,
-                    draws.ctypes.data,
-                    directed_u.ctypes.data,
-                    directed_v.ctypes.data,
-                    a,
-                    block,
-                    n,
-                    masks.ctypes.data if masks is not None else None,
-                    counts.ctypes.data,
-                    finish.ctypes.data,
-                )
-            elif a >= _SCALAR_MAX_REPLICAS:
+            if a >= _SCALAR_MAX_REPLICAS:
                 iu = directed_u.take(draws)
                 iv = directed_v.take(draws)
                 _numpy_epidemic_block(informed, iu, iv, counts, finish, n, masks)
@@ -394,8 +379,8 @@ def _run_influence_stack(
     schedule: Optional["TopologySchedule"] = None,
 ) -> None:
     n = graph.n_nodes
-    kernel = get_influence_multi_kernel()
-    if kernel is None and len(seeds) < _SCALAR_MAX_REPLICAS and schedule is None:
+    epoch_kernel = get_influence_epoch_kernel()
+    if epoch_kernel is None and len(seeds) < _SCALAR_MAX_REPLICAS and schedule is None:
         # The tiny-stack fallback decodes draws through its stream's own
         # static tables, so dynamic runs take the generic path instead.
         _scalar_influence(graph, seeds, max_steps, results, result_offset)
@@ -414,7 +399,6 @@ def _run_influence_stack(
     flags = np.zeros((active, n), dtype=np.uint8)
     counts = np.zeros(active, dtype=np.int64)
     indices = np.arange(result_offset, result_offset + active, dtype=np.int64)
-    epoch_kernel = get_influence_epoch_kernel()
     rng_rows = None if epoch_kernel is None else _pack_stream_states(schedulers)
     threads = kernel_thread_count()
     consumed = 0
@@ -447,25 +431,9 @@ def _run_influence_stack(
         else:
             draws = np.empty((a, block), dtype=np.int64)
             fill_draw_rows(schedulers, draws, pair_count)
-            if kernel is not None:
-                kernel(
-                    bits.ctypes.data,
-                    draws.ctypes.data,
-                    directed_u.ctypes.data,
-                    directed_v.ctypes.data,
-                    a,
-                    block,
-                    n,
-                    words,
-                    full.ctypes.data,
-                    flags.ctypes.data,
-                    counts.ctypes.data,
-                    finish.ctypes.data,
-                )
-            else:
-                iu = directed_u.take(draws)
-                iv = directed_v.take(draws)
-                _numpy_influence_block(bits, iu, iv, full, flags, counts, finish, n)
+            iu = directed_u.take(draws)
+            iv = directed_v.take(draws)
+            _numpy_influence_block(bits, iu, iv, full, flags, counts, finish, n)
         done = finish >= 0
         if done.any():
             results[indices[done]] = consumed + finish[done]

@@ -14,8 +14,9 @@ equivalent backends (:mod:`repro.engine.stepper`):
 
 :mod:`repro.engine.replicas` runs R independent replicas of the same
 (graph, protocol) pair through one compiled table set — by default as a
-replica-batched stack in which one ``repro_run_multi`` kernel call
-advances every replica through a whole certificate-cadence block (see
+replica-batched stack in which one ``repro_run_epoch`` kernel call
+advances every replica to its next certificate boundary, drawing each
+replica's seeded stream inside the kernel (see
 :mod:`repro.runtime.execute`), with an exact sequential fallback when no
 C compiler is available.  The experiment harness routes repeated
 Monte-Carlo trials through the same execution plans.

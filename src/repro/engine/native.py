@@ -3,15 +3,16 @@
 The packed transition tables built by :mod:`repro.engine.compiler` are
 self-contained: applying one interaction is two array reads, one table read
 and two writes.  That inner loop is branch-light and memory-resident, so on
-machines with a system C compiler we compile a ~30-line kernel once, cache
-the shared object under ``src/repro/engine/_build/`` and drive it through
-:mod:`ctypes`.  This removes the interpreter from the hot path entirely
-(roughly two orders of magnitude over the reference interpreter) while
-executing the *same* table entries as the NumPy and scalar backends.
+machines with a system C compiler we compile one kernel source once, cache
+the shared object under ``src/repro/engine/_build/`` (named by a digest of
+the source and the compiler flags) and drive it through :mod:`ctypes`.
+This removes the interpreter from the hot path entirely (roughly two orders
+of magnitude over the reference interpreter) while executing the *same*
+table entries as the NumPy and scalar backends.
 
 Everything degrades gracefully: no compiler, a failed build, or
-``REPRO_DISABLE_NATIVE=1`` simply means :func:`get_kernel` returns ``None``
-and the stepper falls back to the NumPy/scalar backends.  The kernel stops
+``REPRO_DISABLE_NATIVE=1`` simply means every ``get_*`` accessor returns
+``None`` and callers fall back to the NumPy/scalar paths.  The kernel stops
 at the first table miss and returns how far it got, so lazy pair discovery
 (and table growth) stays in Python.
 """
@@ -24,14 +25,25 @@ import os
 import shutil
 import subprocess
 
-_KERNEL_VERSION = 8
-
-#: The v5 function set: protocol stepping, epidemics, influence — all fed
-#: pre-drawn pair indices from Python.  Compiles standalone (no pthread,
-#: no 128-bit arithmetic) and serves as the fallback when the v6 source
-#: does not build on a platform.
-_KERNEL_SOURCE_V5 = r"""
+#: The kernel source: protocol stepping, shard runs and the single-source
+#: epidemic block fed pre-drawn pair indices from Python, plus the epoch
+#: runners whose seeded pair streams live *inside* the kernel.  The stream
+#: code is a bit-exact reimplementation of the exact NumPy stack this
+#: package draws from — ``SeedSequence`` entropy pooling, the PCG64
+#: (XSL-RR 128/64) bit generator including its buffered 32-bit half-word,
+#: and ``Generator.integers``'s Lemire bounded sampling — plus the
+#: SplitMix64 word folding of :mod:`repro.core.seeds` and the scheduler
+#: dialect of :class:`repro.runtime.source.InteractionSource` (refills of
+#: ``max(batch, minimum)`` edge draws followed by orientation draws).
+#: Every stream produced here is bit-identical to the NumPy draws; the
+#: differential contract lives in ``tests/test_kernel_rng.py`` and the
+#: golden fixtures.  Replicas are fully independent, so the optional
+#: pthread fan-out over the replica axis cannot change results for any
+#: thread count.
+_KERNEL_SOURCE = r"""
 #include <stdint.h>
+#include <string.h>
+#include <pthread.h>
 
 /* Applies interactions [0, nsteps) sequentially against the packed table.
  *
@@ -97,7 +109,7 @@ int64_t repro_run_block(int64_t *codes,
  *
  * Returns the number of interactions applied; a return value < nsteps
  * means entry (iu[ret], iv[ret]) is missing and must be filled by the
- * caller before resuming at offset ret (the v5 miss-resume discipline).
+ * caller before resuming at offset ret (the miss-resume discipline).
  */
 int64_t repro_run_shard_block(int64_t *codes,
                               const int64_t *iu,
@@ -243,210 +255,6 @@ int64_t repro_broadcast_block(uint8_t *informed,
     *count_io = count;
     return i;
 }
-
-/* One certificate-cadence block of R replica-batched protocol runs.
- *
- * Replica r owns row r of the (nrep x n) codes matrix and row r of the
- * (nrep x nsteps) draws matrix — its private scheduler stream as raw
- * directed pair indices, decoded through the shared endpoint tables
- * du/dv (length 2m).  Rows are fully independent; each is applied
- * strictly in order with the same table entries and bookkeeping as
- * repro_run_block, so results are bit-identical to nrep separate runs.
- *
- * positions[r] is the per-replica resume offset (0 on entry).  A row
- * stops early at a missing table entry; the caller fills the pair
- * (possibly growing the tables), refreshes dpack/k/kshift/seen and
- * re-invokes — rows already at nsteps are skipped for free.
- */
-void repro_run_multi(int64_t *codes,
-                     const int64_t *draws,
-                     const int64_t *du,
-                     const int64_t *dv,
-                     int64_t nrep,
-                     int64_t nsteps,
-                     int64_t n,
-                     const int32_t *dpack,
-                     int64_t k,
-                     int32_t kshift,
-                     uint8_t *seen,
-                     int64_t step0,
-                     int64_t *positions,
-                     int64_t *last_change,
-                     int64_t *leaders)
-{
-    const int64_t kmask = k - 1;
-    int64_t r;
-    for (r = 0; r < nrep; r++) {
-        int64_t *row_codes = codes + r * n;
-        const int64_t *row = draws + r * nsteps;
-        uint8_t *row_seen = seen + r * k;
-        int64_t last = last_change[r];
-        int64_t lead = leaders[r];
-        int64_t i;
-        for (i = positions[r]; i < nsteps; i++) {
-            int64_t idx = row[i];
-            int64_t u = du[idx];
-            int64_t v = dv[idx];
-            int64_t a = row_codes[u];
-            int64_t b = row_codes[v];
-            int32_t pk = dpack[a * k + b];
-            int64_t val, na, nb;
-            if (pk < 0)
-                break;
-            val = (int64_t)(pk >> 4);
-            na = val >> kshift;
-            nb = val & kmask;
-            row_codes[u] = na;
-            row_codes[v] = nb;
-            row_seen[na] = 1;
-            row_seen[nb] = 1;
-            if (pk & 1)
-                last = step0 + i + 1;
-            lead += ((pk >> 1) & 7) - 2;
-        }
-        positions[r] = i;
-        last_change[r] = last;
-        leaders[r] = lead;
-    }
-}
-
-/* One block of R replica-batched single-source epidemics.
- *
- * Each replica r owns row r of the (nrep x n) informed matrix and row r
- * of the (nrep x nsteps) draws matrix — its private scheduler stream as
- * raw ordered-pair indices, decoded here through the directed endpoint
- * tables du/dv (length 2m).  A replica finishes when either every node
- * is informed (stopmask == NULL) or a newly informed node has its
- * stopmask bit set (distance-k propagation; stopmask is nrep x n).
- * finish[r] is -1 on entry and is set to the 1-based offset of the
- * finishing interaction within this block; unfinished replicas consume
- * the whole block.  Returns the number of replicas that finished.
- */
-int64_t repro_broadcast_multi(uint8_t *informed,
-                              const int64_t *draws,
-                              const int64_t *du,
-                              const int64_t *dv,
-                              int64_t nrep,
-                              int64_t nsteps,
-                              int64_t n,
-                              const uint8_t *stopmask,
-                              int64_t *counts,
-                              int64_t *finish)
-{
-    int64_t done = 0;
-    int64_t r;
-    for (r = 0; r < nrep; r++) {
-        uint8_t *inf = informed + r * n;
-        const uint8_t *stop = stopmask ? stopmask + r * n : 0;
-        const int64_t *row = draws + r * nsteps;
-        int64_t count = counts[r];
-        int64_t i;
-        for (i = 0; i < nsteps; i++) {
-            int64_t u = du[row[i]];
-            int64_t v = dv[row[i]];
-            uint8_t a = inf[u];
-            uint8_t b = inf[v];
-            if (a != b) {
-                int64_t fresh = a ? v : u;
-                inf[u] = 1;
-                inf[v] = 1;
-                count++;
-                if (stop ? stop[fresh] : (count == n)) {
-                    finish[r] = i + 1;
-                    done++;
-                    break;
-                }
-            }
-        }
-        counts[r] = count;
-    }
-    return done;
-}
-
-/* One block of R replica-batched all-pairs influence processes.
- *
- * bits is (nrep x n x w) packed uint64 influencer bitsets: word j of node
- * u in replica r holds sources 64j..64j+63.  full is the w-word mask with
- * the low n bits set; full_flags (nrep x n) caches which nodes already
- * hold it so the word compare runs only on improving merges.  A replica
- * finishes when all n nodes are fully informed (counts[r] == n);
- * finish[r] gets the 1-based offset as above.  Returns the number of
- * replicas that finished in this block.
- */
-int64_t repro_influence_multi(uint64_t *bits,
-                              const int64_t *draws,
-                              const int64_t *du,
-                              const int64_t *dv,
-                              int64_t nrep,
-                              int64_t nsteps,
-                              int64_t n,
-                              int64_t w,
-                              const uint64_t *full,
-                              uint8_t *full_flags,
-                              int64_t *counts,
-                              int64_t *finish)
-{
-    int64_t done = 0;
-    int64_t r;
-    for (r = 0; r < nrep; r++) {
-        uint64_t *rb = bits + r * n * w;
-        uint8_t *flags = full_flags + r * n;
-        const int64_t *row = draws + r * nsteps;
-        int64_t count = counts[r];
-        int64_t i;
-        for (i = 0; i < nsteps; i++) {
-            int64_t u = du[row[i]];
-            int64_t v = dv[row[i]];
-            uint8_t fu = flags[u];
-            uint8_t fv = flags[v];
-            uint64_t *pu, *pv;
-            int64_t j;
-            int alleq;
-            if (fu && fv)
-                continue;
-            pu = rb + u * w;
-            pv = rb + v * w;
-            alleq = 1;
-            for (j = 0; j < w; j++) {
-                uint64_t merged = pu[j] | pv[j];
-                pu[j] = merged;
-                pv[j] = merged;
-                if (merged != full[j])
-                    alleq = 0;
-            }
-            if (alleq) {
-                count += (fu == 0) + (fv == 0);
-                flags[u] = 1;
-                flags[v] = 1;
-                if (count == n) {
-                    finish[r] = i + 1;
-                    done++;
-                    break;
-                }
-            }
-        }
-        counts[r] = count;
-    }
-    return done;
-}
-"""
-
-#: Kernel v6: the seeded pair streams move *inside* the kernel.  The C
-#: code below is a bit-exact reimplementation of the exact NumPy stack
-#: this package draws from — ``SeedSequence`` entropy pooling, the PCG64
-#: (XSL-RR 128/64) bit generator including its buffered 32-bit half-word,
-#: and ``Generator.integers``'s Lemire bounded sampling — plus the
-#: SplitMix64 word folding of :mod:`repro.core.seeds` and the scheduler
-#: dialect of :class:`repro.runtime.source.InteractionSource` (refills of
-#: ``max(batch, minimum)`` edge draws followed by orientation draws).
-#: Every stream produced here is bit-identical to the NumPy draws; the
-#: differential contract lives in ``tests/test_kernel_rng.py`` and the
-#: golden fixtures.  Replicas are fully independent, so the optional
-#: pthread fan-out over the replica axis cannot change results for any
-#: thread count.
-_KERNEL_SOURCE_V6 = r"""
-#include <string.h>
-#include <pthread.h>
 
 typedef unsigned __int128 repro_u128;
 
@@ -730,7 +538,7 @@ void repro_source_fill(uint64_t *rng_state, int64_t *src_state,
     src_state[2] = position;
 }
 
-/* ---- The v6 epoch runner ----------------------------------------- */
+/* ---- The epoch runner -------------------------------------------- */
 
 /* Advance one replica until its next stop event: a certificate-cadence
  * boundary that needs a Python certificate check (BOUNDARY), a missing
@@ -739,8 +547,7 @@ void repro_source_fill(uint64_t *rng_state, int64_t *src_state,
  * set, boundaries where the kernel-maintained leader count is != 1 are
  * skipped — the certificate cannot hold there — so whole stretches of
  * the measurement run in one call.  Stream consumption (refill sizes and
- * draw order) is bit-identical to the Python InteractionSource fed
- * through the v5 per-block draws matrix. */
+ * draw order) is bit-identical to the Python InteractionSource. */
 static void repro_run_epoch_row(
     int64_t *codes, uint64_t *rngw, int64_t *src, int64_t *buffer,
     const int64_t *du, const int64_t *dv, int64_t m,
@@ -1181,18 +988,23 @@ MAX_KERNEL_THREADS = 64
 def kernel_thread_count() -> int:
     """Replica-axis thread count requested via ``REPRO_KERNEL_THREADS``.
 
-    Defaults to 1 (fully sequential).  Results are bit-identical for any
-    value — threading only partitions independent replica rows — so this
-    is purely a throughput dial.
+    Defaults to 1 (fully sequential); values above
+    :data:`MAX_KERNEL_THREADS` are capped.  Results are bit-identical for
+    any value — threading only partitions independent replica rows — so
+    this is purely a throughput dial.  Anything but a positive integer
+    raises :class:`ValueError`.
     """
     raw = os.environ.get("REPRO_KERNEL_THREADS", "").strip()
     if not raw:
         return 1
+    message = f"REPRO_KERNEL_THREADS must be a positive integer, got {raw!r}"
     try:
         value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(value, MAX_KERNEL_THREADS))
+    except ValueError as exc:
+        raise ValueError(message) from exc
+    if value < 1:
+        raise ValueError(message)
+    return min(value, MAX_KERNEL_THREADS)
 
 
 def _build_directory() -> str:
@@ -1201,53 +1013,104 @@ def _build_directory() -> str:
     return path
 
 
-def _extra_cflags():
-    """Extra compiler flags from ``REPRO_KERNEL_CFLAGS`` (sanitizer builds)."""
-    return os.environ.get("REPRO_KERNEL_CFLAGS", "").split()
+def _compile_flags():
+    """The fixed compiler flags plus ``REPRO_KERNEL_CFLAGS`` (sanitizer builds)."""
+    extra = os.environ.get("REPRO_KERNEL_CFLAGS", "").split()
+    return ["-O2", "-shared", "-fPIC", "-pthread", *extra]
+
+
+def _kernel_paths(build_dir: str, source: str, flags) -> tuple:
+    """The ``.c`` and ``.so`` paths for building ``source`` with ``flags``.
+
+    Both are named by one digest over the source text and the flags, so an
+    edited kernel or another flag set never loads a stale cached library.
+    """
+    digest = hashlib.sha256("\0".join([source, *flags]).encode("utf-8")).hexdigest()[:16]
+    stem = os.path.join(build_dir, f"_kernel_{digest}")
+    return stem + ".c", stem + ".so"
 
 
 def _compile_kernel():
     compiler = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
     if compiler is None:
         return None
-    build_dir = _build_directory()
-    extra = _extra_cflags()
-    tag = ""
-    if extra:
-        digest = hashlib.sha1(" ".join(extra).encode("utf-8")).hexdigest()[:8]
-        tag = f"_{digest}"
-    # Try the full v6 source first (pthreads + 128-bit arithmetic); fall
-    # back to the standalone v5 function set if it does not build here.
-    variants = (
-        ("", _KERNEL_SOURCE_V5 + _KERNEL_SOURCE_V6, True),
-        ("_compat", _KERNEL_SOURCE_V5, False),
-    )
-    for suffix, source, with_v6 in variants:
-        src_path = os.path.join(build_dir, f"_kernel_v{_KERNEL_VERSION}{suffix}.c")
-        so_path = os.path.join(build_dir, f"_kernel_v{_KERNEL_VERSION}{suffix}{tag}.so")
-        try:
-            if not os.path.exists(so_path):
-                with open(src_path, "w", encoding="utf-8") as handle:
-                    handle.write(source)
-                tmp_path = so_path + f".tmp{os.getpid()}"
-                subprocess.run(
-                    [compiler, "-O2", "-shared", "-fPIC", "-pthread"]
-                    + extra
-                    + ["-o", tmp_path, src_path],
-                    check=True,
-                    capture_output=True,
-                    timeout=180,
-                )
-                os.replace(tmp_path, so_path)
-            library = ctypes.CDLL(so_path)
-            return _bind_kernels(library, with_v6)
-        except Exception:
-            continue
-    return None
+    flags = _compile_flags()
+    src_path, so_path = _kernel_paths(_build_directory(), _KERNEL_SOURCE, flags)
+    if not os.path.exists(so_path):
+        with open(src_path, "w", encoding="utf-8") as handle:
+            handle.write(_KERNEL_SOURCE)
+        tmp_path = so_path + f".tmp{os.getpid()}"
+        subprocess.run(
+            [compiler, *flags, "-o", tmp_path, src_path],
+            check=True,
+            capture_output=True,
+            timeout=180,
+        )
+        os.replace(tmp_path, so_path)
+    return _bind_kernels(ctypes.CDLL(so_path))
 
 
-def _bind_v6(library):
-    """ctypes signatures for the v6 (in-kernel RNG) entry points."""
+def _bind_kernels(library):
+    """ctypes signatures for every kernel entry point, by name."""
+    run_block = library.repro_run_block
+    run_block.restype = ctypes.c_int64
+    run_block.argtypes = [
+        ctypes.c_void_p,  # codes
+        ctypes.c_void_p,  # iu
+        ctypes.c_void_p,  # iv
+        ctypes.c_int64,  # nsteps
+        ctypes.c_void_p,  # dpack
+        ctypes.c_int64,  # k
+        ctypes.c_int32,  # kshift
+        ctypes.c_void_p,  # seen
+        ctypes.c_int64,  # step0
+        ctypes.POINTER(ctypes.c_int64),  # last_change_io
+        ctypes.POINTER(ctypes.c_int64),  # leaders_io
+    ]
+    run_shard_block = library.repro_run_shard_block
+    run_shard_block.restype = ctypes.c_int64
+    run_shard_block.argtypes = [
+        ctypes.c_void_p,  # codes (one shard's contiguous block)
+        ctypes.c_void_p,  # iu (shard-local initiator indices)
+        ctypes.c_void_p,  # iv (shard-local responder indices)
+        ctypes.c_void_p,  # steps (per-draw global step numbers)
+        ctypes.c_int64,  # nsteps
+        ctypes.c_void_p,  # dpack
+        ctypes.c_int64,  # k
+        ctypes.c_int32,  # kshift
+        ctypes.c_void_p,  # seen
+        ctypes.POINTER(ctypes.c_int64),  # last_change_io
+        ctypes.POINTER(ctypes.c_int64),  # leaders_io
+    ]
+    run_sharded_chunk = library.repro_run_sharded_chunk
+    run_sharded_chunk.restype = ctypes.c_int64
+    run_sharded_chunk.argtypes = [
+        ctypes.c_void_p,  # codes (the global code array)
+        ctypes.c_void_p,  # iu (global initiator indices, draw order)
+        ctypes.c_void_p,  # iv (global responder indices, draw order)
+        ctypes.c_int64,  # start (resume offset within the chunk)
+        ctypes.c_int64,  # nsteps
+        ctypes.c_int64,  # step0
+        ctypes.c_void_p,  # boundary_pos (ascending chunk positions)
+        ctypes.c_int64,  # n_boundary
+        ctypes.c_void_p,  # applied (out: non-null flag per boundary)
+        ctypes.c_void_p,  # dpack
+        ctypes.c_int64,  # k
+        ctypes.c_int32,  # kshift
+        ctypes.c_void_p,  # seen
+        ctypes.POINTER(ctypes.c_int64),  # last_change_io
+        ctypes.POINTER(ctypes.c_int64),  # leaders_io
+    ]
+    broadcast_block = library.repro_broadcast_block
+    broadcast_block.restype = ctypes.c_int64
+    broadcast_block.argtypes = [
+        ctypes.c_void_p,  # informed
+        ctypes.c_void_p,  # iu
+        ctypes.c_void_p,  # iv
+        ctypes.c_int64,  # nsteps
+        ctypes.c_int64,  # n
+        ctypes.POINTER(ctypes.c_int64),  # count_io
+    ]
     splitmix64 = library.repro_splitmix64
     splitmix64.restype = ctypes.c_uint64
     splitmix64.argtypes = [ctypes.c_uint64]
@@ -1349,6 +1212,10 @@ def _bind_v6(library):
         ctypes.c_int64,  # n_threads
     ]
     return {
+        "run_block": run_block,
+        "run_shard_block": run_shard_block,
+        "run_sharded_chunk": run_sharded_chunk,
+        "broadcast_block": broadcast_block,
         "splitmix64": splitmix64,
         "derive_seed": derive,
         "pcg64_init": pcg64_init,
@@ -1359,129 +1226,6 @@ def _bind_v6(library):
         "broadcast_epoch": broadcast_epoch,
         "influence_epoch": influence_epoch,
     }
-
-
-def _bind_kernels(library, with_v6):
-    run_block = library.repro_run_block
-    run_block.restype = ctypes.c_int64
-    run_block.argtypes = [
-        ctypes.c_void_p,  # codes
-        ctypes.c_void_p,  # iu
-        ctypes.c_void_p,  # iv
-        ctypes.c_int64,  # nsteps
-        ctypes.c_void_p,  # dpack
-        ctypes.c_int64,  # k
-        ctypes.c_int32,  # kshift
-        ctypes.c_void_p,  # seen
-        ctypes.c_int64,  # step0
-        ctypes.POINTER(ctypes.c_int64),  # last_change_io
-        ctypes.POINTER(ctypes.c_int64),  # leaders_io
-    ]
-    run_shard_block = library.repro_run_shard_block
-    run_shard_block.restype = ctypes.c_int64
-    run_shard_block.argtypes = [
-        ctypes.c_void_p,  # codes (one shard's contiguous block)
-        ctypes.c_void_p,  # iu (shard-local initiator indices)
-        ctypes.c_void_p,  # iv (shard-local responder indices)
-        ctypes.c_void_p,  # steps (per-draw global step numbers)
-        ctypes.c_int64,  # nsteps
-        ctypes.c_void_p,  # dpack
-        ctypes.c_int64,  # k
-        ctypes.c_int32,  # kshift
-        ctypes.c_void_p,  # seen
-        ctypes.POINTER(ctypes.c_int64),  # last_change_io
-        ctypes.POINTER(ctypes.c_int64),  # leaders_io
-    ]
-    run_sharded_chunk = library.repro_run_sharded_chunk
-    run_sharded_chunk.restype = ctypes.c_int64
-    run_sharded_chunk.argtypes = [
-        ctypes.c_void_p,  # codes (the global code array)
-        ctypes.c_void_p,  # iu (global initiator indices, draw order)
-        ctypes.c_void_p,  # iv (global responder indices, draw order)
-        ctypes.c_int64,  # start (resume offset within the chunk)
-        ctypes.c_int64,  # nsteps
-        ctypes.c_int64,  # step0
-        ctypes.c_void_p,  # boundary_pos (ascending chunk positions)
-        ctypes.c_int64,  # n_boundary
-        ctypes.c_void_p,  # applied (out: non-null flag per boundary)
-        ctypes.c_void_p,  # dpack
-        ctypes.c_int64,  # k
-        ctypes.c_int32,  # kshift
-        ctypes.c_void_p,  # seen
-        ctypes.POINTER(ctypes.c_int64),  # last_change_io
-        ctypes.POINTER(ctypes.c_int64),  # leaders_io
-    ]
-    broadcast_block = library.repro_broadcast_block
-    broadcast_block.restype = ctypes.c_int64
-    broadcast_block.argtypes = [
-        ctypes.c_void_p,  # informed
-        ctypes.c_void_p,  # iu
-        ctypes.c_void_p,  # iv
-        ctypes.c_int64,  # nsteps
-        ctypes.c_int64,  # n
-        ctypes.POINTER(ctypes.c_int64),  # count_io
-    ]
-    broadcast_multi = library.repro_broadcast_multi
-    broadcast_multi.restype = ctypes.c_int64
-    broadcast_multi.argtypes = [
-        ctypes.c_void_p,  # informed (nrep x n)
-        ctypes.c_void_p,  # draws (nrep x nsteps)
-        ctypes.c_void_p,  # du (2m)
-        ctypes.c_void_p,  # dv (2m)
-        ctypes.c_int64,  # nrep
-        ctypes.c_int64,  # nsteps
-        ctypes.c_int64,  # n
-        ctypes.c_void_p,  # stopmask (nrep x n) or None
-        ctypes.c_void_p,  # counts (nrep)
-        ctypes.c_void_p,  # finish (nrep)
-    ]
-    run_multi = library.repro_run_multi
-    run_multi.restype = None
-    run_multi.argtypes = [
-        ctypes.c_void_p,  # codes (nrep x n)
-        ctypes.c_void_p,  # draws (nrep x nsteps)
-        ctypes.c_void_p,  # du (2m)
-        ctypes.c_void_p,  # dv (2m)
-        ctypes.c_int64,  # nrep
-        ctypes.c_int64,  # nsteps
-        ctypes.c_int64,  # n
-        ctypes.c_void_p,  # dpack
-        ctypes.c_int64,  # k
-        ctypes.c_int32,  # kshift
-        ctypes.c_void_p,  # seen (nrep x k)
-        ctypes.c_int64,  # step0
-        ctypes.c_void_p,  # positions (nrep)
-        ctypes.c_void_p,  # last_change (nrep)
-        ctypes.c_void_p,  # leaders (nrep)
-    ]
-    influence_multi = library.repro_influence_multi
-    influence_multi.restype = ctypes.c_int64
-    influence_multi.argtypes = [
-        ctypes.c_void_p,  # bits (nrep x n x w)
-        ctypes.c_void_p,  # draws (nrep x nsteps)
-        ctypes.c_void_p,  # du (2m)
-        ctypes.c_void_p,  # dv (2m)
-        ctypes.c_int64,  # nrep
-        ctypes.c_int64,  # nsteps
-        ctypes.c_int64,  # n
-        ctypes.c_int64,  # w
-        ctypes.c_void_p,  # full (w)
-        ctypes.c_void_p,  # full_flags (nrep x n)
-        ctypes.c_void_p,  # counts (nrep)
-        ctypes.c_void_p,  # finish (nrep)
-    ]
-    kernels = {
-        "run_block": run_block,
-        "run_shard_block": run_shard_block,
-        "run_sharded_chunk": run_sharded_chunk,
-        "broadcast_block": broadcast_block,
-        "broadcast_multi": broadcast_multi,
-        "influence_multi": influence_multi,
-        "run_multi": run_multi,
-    }
-    if with_v6:
-        kernels.update(_bind_v6(library))
-    return kernels
 
 
 def _kernels():
@@ -1496,20 +1240,6 @@ def _kernels():
     except Exception:
         _cached_kernel = None
     return _cached_kernel
-
-
-def _v6_kernels():
-    """The v6 function table, or ``None`` when disabled or unbuilt.
-
-    ``REPRO_DISABLE_NATIVE_V6`` is consulted on every call (not cached)
-    so tests can force the v6→v5→NumPy fallback chain without rebuilding.
-    """
-    if os.environ.get("REPRO_DISABLE_NATIVE_V6"):
-        return None
-    kernels = _kernels()
-    if kernels is None or "run_epoch" not in kernels:
-        return None
-    return kernels
 
 
 def get_kernel():
@@ -1536,49 +1266,31 @@ def get_broadcast_kernel():
     return None if kernels is None else kernels["broadcast_block"]
 
 
-def get_broadcast_multi_kernel():
-    """The compiled replica-batched epidemic entry point, or ``None``."""
-    kernels = _kernels()
-    return None if kernels is None else kernels["broadcast_multi"]
-
-
-def get_influence_multi_kernel():
-    """The compiled replica-batched influence entry point, or ``None``."""
-    kernels = _kernels()
-    return None if kernels is None else kernels["influence_multi"]
-
-
-def get_run_multi_kernel():
-    """The compiled replica-batched protocol-stepping entry point, or ``None``."""
-    kernels = _kernels()
-    return None if kernels is None else kernels["run_multi"]
-
-
 def get_run_epoch_kernel():
-    """The v6 whole-epoch protocol kernel (in-kernel streams), or ``None``."""
-    kernels = _v6_kernels()
+    """The whole-epoch protocol kernel (in-kernel streams), or ``None``."""
+    kernels = _kernels()
     return None if kernels is None else kernels["run_epoch"]
 
 
 def get_broadcast_epoch_kernel():
-    """The v6 epidemic kernel with in-kernel draws, or ``None``."""
-    kernels = _v6_kernels()
+    """The replica-batched epidemic kernel with in-kernel draws, or ``None``."""
+    kernels = _kernels()
     return None if kernels is None else kernels["broadcast_epoch"]
 
 
 def get_influence_epoch_kernel():
-    """The v6 all-pairs influence kernel with in-kernel draws, or ``None``."""
-    kernels = _v6_kernels()
+    """The replica-batched all-pairs influence kernel with in-kernel draws, or ``None``."""
+    kernels = _kernels()
     return None if kernels is None else kernels["influence_epoch"]
 
 
 def get_rng_kernels():
-    """The v6 RNG/stream primitives for the differential tests, or ``None``.
+    """The in-kernel RNG/stream primitives for the differential tests, or ``None``.
 
     Keys: ``splitmix64``, ``derive_seed``, ``pcg64_init``, ``pcg64_raw``,
     ``bounded_fill``, ``source_fill``.
     """
-    kernels = _v6_kernels()
+    kernels = _kernels()
     if kernels is None:
         return None
     return {

@@ -5,9 +5,9 @@ with different seeds.  :func:`run_replicas` executes R such replicas as
 *one* :class:`~repro.runtime.plan.ExecutionPlan`: the plan compiles the
 protocol's transition tables once and the runtime executors
 (:mod:`repro.runtime.execute`) run every replica against them — either
-through the replica-batched stack, which advances all replicas one
-certificate-cadence block at a time with a single C-kernel call per
-block, or replica by replica through the compiled single-run engine.
+through the replica-batched stack, which advances all replicas through
+whole epochs per C-kernel call with their seeded streams drawn inside the
+kernel, or replica by replica through the compiled single-run engine.
 Every replica draws from its own independent scheduler stream, so both
 strategies are bit-identical to R separate reference runs with the same
 seeds.
@@ -65,11 +65,11 @@ def run_replicas(
         As in :meth:`repro.core.simulator.Simulator.run`.
     mode:
         ``"auto"`` (default) uses the replica-batched stack whenever the
-        multi-replica kernel is available and falls back to sequential
-        execution otherwise; ``"lockstep"`` requests the stack
-        explicitly (with the historical straggler drain); ``"sequential"``
-        runs replicas one at a time through the compiled single-run
-        engine.  All modes are exact — they differ in wall time only.
+        epoch kernel is available and every seed is kernel-seedable, and
+        falls back to sequential execution otherwise; ``"lockstep"``
+        requests the stack explicitly (with the historical straggler
+        drain); ``"sequential"`` runs replicas one at a time through the
+        compiled single-run engine.  All modes are exact — they differ in wall time only.
     backend:
         Backend forwarded to single-replica runs (see
         :class:`~repro.engine.stepper.CompiledRun`).
@@ -78,7 +78,7 @@ def run_replicas(
         the sequential engine (``mode="lockstep"`` defaults to
         :data:`LOCKSTEP_DRAIN_WIDTH`, ``mode="auto"`` to 0).
     threads:
-        Replica-axis kernel threads for the v6 stack executor (``None``
+        Replica-axis kernel threads for the replica-batched stack (``None``
         defers to ``REPRO_KERNEL_THREADS``).  Results are bit-identical
         for any value.
     """

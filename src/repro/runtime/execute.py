@@ -9,25 +9,24 @@ same seeds:
 * **compiled single** — :class:`~repro.engine.stepper.CompiledRun`
   blocks, one replica at a time, with the historical lazy-compilation
   fallback semantics;
-* **replica-batched stack** — all replicas advance through one
-  ``repro_run_multi`` C-kernel call per certificate-cadence block: the
-  codes of the whole measurement live in one ``(R, n)`` matrix, each
-  replica's scheduler stream is consumed as *raw directed pair indices*
-  (the kernel decodes them through the shared endpoint tables), and
-  per-replica bookkeeping (last output change, leader counts, the
-  distinct-code mask) is maintained exactly as in the single-run
-  kernel.  Replicas whose certificate fires are compacted out of the
-  stack.  This is the default path for harness measurements — it
-  removes the per-replica Python/ctypes overhead that dominated
-  trial-serial dispatch (see ``benchmarks/bench_runtime_dispatch.py``).
+* **replica-batched stack** — all replicas advance through
+  ``repro_run_epoch`` C-kernel calls: the codes of the whole measurement
+  live in one ``(R, n)`` matrix, each replica's seeded scheduler stream
+  is drawn *inside* the kernel, and per-replica bookkeeping (last output
+  change, leader counts, the distinct-code mask) is maintained exactly
+  as in the single-run kernel.  Replicas whose certificate fires are
+  compacted out of the stack.  This is the default path for harness
+  measurements — it removes the per-replica Python/ctypes overhead that
+  dominated trial-serial dispatch (see
+  ``benchmarks/bench_runtime_dispatch.py``).  Plans it cannot serve (see
+  :func:`_stack_eligible`) run replica by replica.
 
-Two exact accelerations apply only here (never changing results):
-consuming undecoded pair indices saves two Python-level gathers per
-block, and for protocols that declare
-``certificate_requires_unique_leader`` the (kernel-maintained) leader
-count gates the Python certificate — a configuration with ``!= 1``
-leaders cannot satisfy those protocols' certificates, so the decode +
-certificate call is skipped without affecting when certification fires.
+One exact acceleration applies only to the stack (never changing
+results): for protocols that declare ``certificate_requires_unique_leader``
+the kernel-maintained leader count gates the Python certificate — a
+configuration with ``!= 1`` leaders cannot satisfy those protocols'
+certificates, so the decode + certificate call is skipped without
+affecting when certification fires.
 """
 
 from __future__ import annotations
@@ -52,35 +51,25 @@ def execute_plan(plan: ExecutionPlan) -> List["SimulationResult"]:
 
         if sharded_eligible(plan):
             return execute_sharded(plan)
-    if plan.mode == "shared" and _stack_eligible(plan):
-        if _stack_v6_eligible(plan):
-            return _execute_stack_v6(plan)
+    if _stack_eligible(plan):
         return _execute_stack(plan)
     return [_execute_single(plan, index) for index in range(plan.n_replicas)]
 
 
 def _stack_eligible(plan: ExecutionPlan) -> bool:
-    """Whether a replica-batched stack executor can serve this plan."""
-    if plan.replica_mode == "sequential" or plan.n_replicas < 2:
+    """Whether the replica-batched epoch stack can serve this plan.
+
+    Every other plan (including live ``Generator`` seeds and integers
+    outside ``[0, 2**64)``, which the kernel cannot reproduce) runs
+    replica by replica through :func:`_execute_single`, which is exact
+    and consumes a caller's ``Generator`` in place.
+    """
+    if plan.mode != "shared" or plan.replica_mode == "sequential" or plan.n_replicas < 2:
         return False
     if plan.schedule is not None or plan.scheduler is not None:
         return False
     if plan.record_leader_trace:
         return False
-    from ..engine.native import get_run_multi_kernel
-
-    return get_run_multi_kernel() is not None
-
-
-def _stack_v6_eligible(plan: ExecutionPlan) -> bool:
-    """Whether the v6 epoch executor (in-kernel streams) can serve it.
-
-    First link of the v6 → v5 → NumPy fallback chain: a missing or
-    disabled v6 kernel, or any seed the kernel cannot reproduce (a live
-    Generator, or an integer outside ``[0, 2**64)``), drops the plan to
-    the v5 stack, which itself requires ``repro_run_multi`` and
-    otherwise yields to the per-replica NumPy/scalar paths.
-    """
     from ..engine.native import get_run_epoch_kernel
     from .source import kernel_seedable
 
@@ -346,194 +335,18 @@ def _run_compiled_single(
 # Replica-batched stack execution
 # ----------------------------------------------------------------------
 def _execute_stack(plan: ExecutionPlan) -> List["SimulationResult"]:
-    """Advance all replicas through one kernel call per cadence block."""
-    from ..core.configuration import Configuration
-    from ..core.scheduler import RandomScheduler
-    from ..core.simulator import SimulationResult
-    from ..engine.native import get_run_multi_kernel
+    """The replica-batched stack: whole epochs per kernel call, streams in-kernel.
 
-    graph = plan.graph
-    protocol = plan.protocols[0]
-    compiled = plan.compiled
-    assert compiled is not None
-    kernel = get_run_multi_kernel()
-    n = graph.n_nodes
-    replica_count = plan.n_replicas
-    max_steps = plan.max_steps
-    check_interval = plan.check_interval
-
-    start_time = time.perf_counter()
-    initial_states = plan.initial_states()
-    initial_codes = compiled.encode(initial_states)
-    initial_leaders = compiled.leader_count(initial_codes)
-    results: List[Optional[SimulationResult]] = [None] * replica_count
-
-    def finalize(
-        codes_row: np.ndarray, stabilized: bool, step: int, last: int, distinct: int, lead: int
-    ) -> SimulationResult:
-        decoded = compiled.decode_codes(codes_row)
-        return SimulationResult(
-            stabilized=stabilized,
-            certified_step=step,
-            last_output_change_step=last,
-            steps_executed=step,
-            leaders=lead,
-            final_configuration=Configuration(decoded, step=step),
-            distinct_states_observed=distinct,
-            leader_trace=[],
-            wall_time_seconds=0.0,
-        )
-
-    initially_stable = protocol.is_output_stable_configuration(initial_states, graph)
-    if initially_stable or max_steps == 0:
-        wall = time.perf_counter() - start_time
-        distinct = int(np.unique(initial_codes).size)
-        for index in range(replica_count):
-            result = finalize(initial_codes, initially_stable, 0, 0, distinct, initial_leaders)
-            result.wall_time_seconds = wall / replica_count
-            results[index] = result
-        return results  # type: ignore[return-value]
-
-    sources = [RandomScheduler(graph, rng=seed) for seed in plan.seeds]
-    directed_u, directed_v = directed_tables(graph)
-    codes = np.tile(np.ascontiguousarray(initial_codes, dtype=np.int64), (replica_count, 1))
-    seen = np.zeros((replica_count, compiled.stride), dtype=np.uint8)
-    seen[:, np.unique(initial_codes)] = 1
-    last_change = np.zeros(replica_count, dtype=np.int64)
-    leaders = np.full(replica_count, initial_leaders, dtype=np.int64)
-    replica_ids = np.arange(replica_count, dtype=np.int64)
-    precheck = bool(getattr(protocol, "certificate_requires_unique_leader", False))
-    step = 0
-
-    while replica_ids.size and step < max_steps:
-        if replica_ids.size <= plan.drain_width:
-            # Straggler drain: finish the few remaining replicas through
-            # the single-run engine, each continuing its own scheduler
-            # stream and certificate cadence in place.
-            for row in range(replica_ids.size):
-                replica = int(replica_ids[row])
-                results[replica] = _drain_replica(
-                    plan,
-                    protocol,
-                    compiled,
-                    sources[replica],
-                    codes[row],
-                    step,
-                    int(last_change[row]),
-                    seen[row],
-                    precheck,
-                )
-            replica_ids = replica_ids[:0]
-            break
-        chunk = min(check_interval, max_steps - step)
-        width = replica_ids.size
-        draws = np.empty((width, chunk), dtype=np.int64)
-        for row, replica in enumerate(replica_ids.tolist()):
-            sources[replica].next_pair_indices_into(draws[row])
-        positions = np.zeros(width, dtype=np.int64)
-        while True:
-            if seen.shape[1] < compiled.stride:
-                grown = np.zeros((width, compiled.stride), dtype=np.uint8)
-                grown[:, : seen.shape[1]] = seen
-                seen = grown
-            complete = compiled.tables_complete
-            kernel(
-                codes.ctypes.data,
-                draws.ctypes.data,
-                directed_u.ctypes.data,
-                directed_v.ctypes.data,
-                width,
-                chunk,
-                n,
-                compiled.dpack.ctypes.data,
-                compiled.stride,
-                compiled.kshift,
-                seen.ctypes.data,
-                step,
-                positions.ctypes.data,
-                last_change.ctypes.data,
-                leaders.ctypes.data,
-            )
-            if complete:
-                # Complete tables cannot miss: every row consumed the block.
-                break
-            pending = positions < chunk
-            if not pending.any():
-                break
-            for row in np.nonzero(pending)[0].tolist():
-                # The kernel stopped this row on a missing table entry:
-                # fill it (possibly growing the tables) and resume.
-                index = int(draws[row, positions[row]])
-                u = int(directed_u[index])
-                v = int(directed_v[index])
-                compiled.scalar_entry(int(codes[row, u]), int(codes[row, v]))
-        step += chunk
-
-        if precheck:
-            # The certificate cannot hold without a unique leader, and the
-            # kernel maintains leader counts exactly — sweep only rows
-            # that pass (one vectorized compare for the common all-busy
-            # block).
-            candidate_rows = np.nonzero(leaders == 1)[0].tolist()
-        else:
-            candidate_rows = range(width)
-        finished_rows: List[int] = []
-        for row in candidate_rows:
-            decoded = compiled.decode_codes(codes[row])
-            if protocol.is_output_stable_configuration(decoded, graph):
-                replica = int(replica_ids[row])
-                results[replica] = finalize(
-                    codes[row],
-                    True,
-                    step,
-                    int(last_change[row]),
-                    int(np.count_nonzero(seen[row])),
-                    int(leaders[row]),
-                )
-                finished_rows.append(row)
-        if finished_rows:
-            keep = np.ones(width, dtype=bool)
-            keep[finished_rows] = False
-            codes = np.ascontiguousarray(codes[keep])
-            seen = np.ascontiguousarray(seen[keep])
-            last_change = np.ascontiguousarray(last_change[keep])
-            leaders = np.ascontiguousarray(leaders[keep])
-            replica_ids = np.ascontiguousarray(replica_ids[keep])
-
-    for row in range(replica_ids.size):
-        replica = int(replica_ids[row])
-        results[replica] = finalize(
-            codes[row],
-            False,
-            step,
-            int(last_change[row]),
-            int(np.count_nonzero(seen[row])),
-            int(leaders[row]),
-        )
-
-    wall = time.perf_counter() - start_time
-    for result in results:
-        assert result is not None
-        result.wall_time_seconds = wall / replica_count
-    return results  # type: ignore[return-value]
-
-
-def _execute_stack_v6(plan: ExecutionPlan) -> List["SimulationResult"]:
-    """The v6 stack: whole epochs per kernel call, streams in-kernel.
-
-    Control flow mirrors :func:`_execute_stack` — same initial
-    certificate check, same cadence, same certificate sweeps, same
-    compaction and straggler drain — but the per-block Python work
-    (drawing pair indices, one ctypes call per cadence block) collapses
-    into one ``repro_run_epoch`` call that advances *every* active
-    replica to its next stop event: a certificate boundary that needs
-    Python (``BOUNDARY``), a missing table entry (``MISS``), or the step
-    budget (``BUDGET``).  Replicas advance independently, so their
-    per-row steps become heterogeneous; each row's sequence of blocks,
-    certificate checks and draws is still exactly the single-run one,
-    which keeps every result bit-identical to the v5 stack and to
-    standalone runs (pinned by ``tests/test_runtime_plan.py`` and
-    ``tests/test_kernel_rng.py``).
+    One ``repro_run_epoch`` call advances *every* active replica to its
+    next stop event: a certificate boundary that needs Python
+    (``BOUNDARY``), a missing table entry (``MISS``), or the step budget
+    (``BUDGET``).  Replicas advance independently, so their per-row steps
+    become heterogeneous; each row's sequence of blocks, certificate
+    checks and draws is still exactly the single-run one, which keeps
+    every result bit-identical to standalone runs (pinned by
+    ``tests/test_runtime_plan.py`` and ``tests/test_kernel_rng.py``).
+    Certified rows are compacted out; at or below ``plan.drain_width``
+    the remaining rows finish through :func:`_drain_replica`.
     """
     from ..core.configuration import Configuration
     from ..core.simulator import SimulationResult
@@ -739,7 +552,7 @@ def _drain_replica(
     stabilized = False
     certified_step = 0
     while not stabilized and run.step < max_steps:
-        # A v6 hand-off can arrive mid-block (after a table miss); align
+        # A stack hand-off can arrive mid-block (after a table miss); align
         # the first batch to the certificate cadence so checks fall on
         # the same step numbers as a standalone run.
         batch = min(check_interval - run.step % check_interval, max_steps - run.step)

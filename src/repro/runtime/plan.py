@@ -82,7 +82,7 @@ class ExecutionPlan:
     trace_resolution: int = 64
     replica_mode: str = "auto"
     drain_width: int = 0
-    #: Replica-axis kernel threads for the v6 stack executor; ``None``
+    #: Replica-axis kernel threads for the replica-batched stack; ``None``
     #: defers to ``REPRO_KERNEL_THREADS`` at execution time.  Purely a
     #: throughput dial — results are bit-identical for any value.
     threads: Optional[int] = None

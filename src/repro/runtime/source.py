@@ -299,7 +299,7 @@ def decode_pair_indices(
 
 
 # ----------------------------------------------------------------------
-# Kernel-resident streams (the v6 dialect)
+# Kernel-resident streams
 # ----------------------------------------------------------------------
 def pack_generator_state(generator: np.random.Generator, out: np.ndarray) -> None:
     """Export a PCG64-backed Generator into one kernel RNG state row.
@@ -350,7 +350,7 @@ def kernel_seedable(seed) -> bool:
 class KernelSource:
     """Replica-batched scheduler-dialect streams living in kernel state.
 
-    The v6 twin of a row of :class:`InteractionSource` objects: per
+    The kernel twin of a row of :class:`InteractionSource` objects: per
     replica, one PCG64 state row (``rng_state``), one cursor/fill/
     position triple (``src_state``) and one pre-sample buffer row
     (``buffers``), all advanced *inside* the C kernel
@@ -372,7 +372,7 @@ class KernelSource:
 
         kernels = get_rng_kernels()
         if kernels is None:
-            raise RuntimeError("kernel v6 is unavailable; use InteractionSource")
+            raise RuntimeError("the native kernel is unavailable; use InteractionSource")
         if graph.n_edges == 0:
             raise ValueError("cannot schedule interactions on an edgeless graph")
         self._graph = graph

@@ -6,7 +6,7 @@ stream to owning shards through memory-mapped routing tables
 (:class:`ShardedInteractionSource`) with explicit boundary-pair exchange
 queues (:class:`ExchangeQueue`), and executes plans shard-locally
 (:func:`execute_sharded`) behind the same probe-and-fallback seam as the
-v6 → v5 → NumPy executor chain.  Execution follows the *span*
+epoch stack → NumPy executor chain.  Execution follows the *span*
 schedule (:class:`SpanBlock`): the whole routed chunk runs in draw order
 as native-kernel calls against a global code array — in-process as one
 call per chunk, or split per owning worker across the fork-based

@@ -23,14 +23,14 @@ result; only the boundary events themselves are order-critical, and
 they apply in global draw order, in this process, always.  In-process,
 the **whole chunk** — boundary events included — is one
 ``repro_run_sharded_chunk`` native call (exact draw order, per-boundary
-non-null flags for the exchange accounting, and the v5
+non-null flags for the exchange accounting, and the
 lazy-compile/miss-resume discipline).  With ``shard_workers=`` set, the
 same span arrays are split per owning worker and fan out across a
 persistent fork-based worker pool (:mod:`repro.sharding.pool`), and the
 boundary events become pairwise handshakes inside a per-chunk
 super-step barrier.
 
-Probe-and-fallback (the v6 -> v5 -> NumPy idiom), innermost first:
+Probe-and-fallback (the epoch stack -> NumPy idiom), innermost first:
 
 * worker pool — needs ``shard_workers >= 1``, > 1 shard, a built kernel,
   complete transition tables and a forkable platform; anything else (or
@@ -72,7 +72,7 @@ _MISSING = object()
 def sharded_eligible(plan: ExecutionPlan) -> bool:
     """Whether the sharded executor can serve this plan (the probe).
 
-    Mirrors the v6 probe: any refusal silently drops the plan to the
+    Mirrors the stack probe: any refusal silently drops the plan to the
     existing executor chain.  ``REPRO_DISABLE_SHARDING=1`` simulates an
     unavailable engine (the fallback-chain tests use it).
     """
@@ -303,7 +303,7 @@ class _KernelChunks:
     was non-null, and the exchange accounting happens afterwards in one
     vectorised pass (the synchronous handshake posts and delivers within
     the same draw, so only the counters move and quiescence holds by
-    construction).  The v5 miss-resume discipline applies per chunk:
+    construction).  The miss-resume discipline applies per chunk:
     stop at a missing entry, fill it via ``scalar_entry``, refresh the
     possibly-grown tables, resume at the same draw.
     """

@@ -32,16 +32,13 @@ at run time — a worker killed mid-super-step, a closed pipe, a table
 miss — raises :class:`ShardPoolError`, which the executor answers by
 closing the pool and rerunning the replica in-process, byte-identically
 (the stream is re-creatable from its seed).
-``REPRO_SHARD_WORKER_KILL_AFTER_CHUNKS=<n>`` makes every worker die at
-the start of its ``n``-th super-step (0-based) — the failure-path tests
-use it; ``REPRO_DISABLE_SHARD_WORKERS=1`` disables the pool entirely.
+``REPRO_DISABLE_SHARD_WORKERS=1`` disables the pool entirely.
 """
 
 from __future__ import annotations
 
 import ctypes
 import multiprocessing
-import os
 import weakref
 from multiprocessing import shared_memory
 from typing import TYPE_CHECKING, Any, List, Optional
@@ -79,15 +76,12 @@ def _worker_main(conn, codes_view, compiled, kernel) -> None:
     pool construction, so ``dpack`` is frozen and a kernel stop short of
     the run length is a protocol violation, reported as an error.
     """
-    kill_env = os.environ.get("REPRO_SHARD_WORKER_KILL_AFTER_CHUNKS")
-    kill_after = int(kill_env) if kill_env else -1
     dpack_ptr = compiled.dpack.ctypes.data
     stride = compiled.stride
     kshift = compiled.kshift
     seen = np.zeros(stride, dtype=np.uint8)
     seen_ptr = seen.ctypes.data
     codes_ptr = codes_view.ctypes.data
-    chunks = 0
 
     def handshake(seg: int) -> bool:
         conn.send(("sync", seg))
@@ -114,9 +108,6 @@ def _worker_main(conn, codes_view, compiled, kernel) -> None:
         # tag == "chunk": run k covers draws [splits[k-1], splits[k])
         # (the first run starts at 0, the last ends at iu.size), with
         # the handshake on boundary segment syncs[k] after run k.
-        if chunks == kill_after:
-            os._exit(1)
-        chunks += 1
         _, iu, iv, steps, splits, syncs = msg
         iu_ptr = iu.ctypes.data
         iv_ptr = iv.ctypes.data

@@ -4,7 +4,7 @@ The engine's contract (see :mod:`repro.analytics`):
 
 * **width invariance** — every batched estimator returns bit-identical
   values for replica-batch widths 1, 3 and R;
-* **path invariance** — the multi-replica C kernels, the vectorized
+* **path invariance** — the epoch C kernels, the vectorized
   NumPy blocks and the scalar loops compute identical results;
 * **seed purity** — a batched trajectory equals the standalone
   single-trajectory run with the same child seed;
@@ -25,7 +25,7 @@ from repro.analytics import (
 )
 from repro.analytics.estimators import broadcast_trajectory_seed
 from repro.core.scheduler import RandomScheduler
-from repro.engine.native import get_broadcast_multi_kernel, reset_kernel_cache
+from repro.engine.native import get_broadcast_epoch_kernel, reset_kernel_cache
 from repro.graphs import Graph, clique, cycle, path, star, torus
 from repro.propagation import (
     broadcast_time_estimate,
@@ -116,13 +116,13 @@ class TestPathInvariance:
 
     def test_epidemic_paths(self, no_native):
         reset_kernel_cache()
-        assert get_broadcast_multi_kernel() is None
+        assert get_broadcast_epoch_kernel() is None
         g, sources, seeds, budget, fallback = self._epidemic_all_paths()
         scalar = run_epidemic_batch(g, sources, seeds, budget, replica_batch=2)
         assert fallback.tolist() == scalar.tolist()
 
     def test_epidemic_native_vs_fallback(self):
-        if get_broadcast_multi_kernel() is None:
+        if get_broadcast_epoch_kernel() is None:
             pytest.skip("no C compiler available")
         g, sources, seeds, budget, native = self._epidemic_all_paths()
         reset_kernel_cache()

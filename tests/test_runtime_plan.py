@@ -16,23 +16,19 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.core.seeds import derive_seed
 from repro.core.simulator import Simulator, default_check_interval
 from repro.dynamics import EpochSchedule
-from repro.engine.native import (
-    get_kernel,
-    get_run_epoch_kernel,
-    get_run_multi_kernel,
-    reset_kernel_cache,
-)
+from repro.engine.native import get_kernel, get_run_epoch_kernel, reset_kernel_cache
 from repro.graphs import clique, cycle, star, torus
 from repro.graphs.random_graphs import erdos_renyi
 from repro.protocols import StarLeaderElection, TokenLeaderElection
 from repro.protocols.identifier import IdentifierLeaderElection
 from repro.runtime import compile_plan, execute_plan
-from repro.runtime.execute import _execute_stack, _execute_stack_v6, _stack_v6_eligible
+from repro.runtime.execute import _stack_eligible
 
 MASTER_SEED = 20260728 + 5  # PR-5 case stream, disjoint from the differential suite
 
@@ -138,7 +134,7 @@ def _stack_cases():
     return cases
 
 
-@pytest.mark.skipif(get_run_multi_kernel() is None, reason="multi-replica kernel unavailable")
+@pytest.mark.skipif(get_run_epoch_kernel() is None, reason="epoch kernel unavailable")
 @pytest.mark.parametrize(
     "case", _stack_cases(), ids=lambda c: f"{c[0]}-n{c[1]}-{c[2]}-s{c[3] % 100000}"
 )
@@ -163,7 +159,7 @@ def test_replica_stack_matches_per_trial_runs(case):
         )
 
 
-@pytest.mark.skipif(get_run_multi_kernel() is None, reason="multi-replica kernel unavailable")
+@pytest.mark.skipif(get_run_epoch_kernel() is None, reason="epoch kernel unavailable")
 def test_stack_handles_lazily_compiled_tables():
     """Miss-resume: protocols without eager tables stay exact in the stack."""
     graph = cycle(12)
@@ -227,7 +223,7 @@ def test_plan_validation_errors():
 
 
 # ----------------------------------------------------------------------
-# v6 epoch executor and the v6 → v5 → NumPy fallback chain
+# Stack eligibility and the epoch stack → per-replica fallback chain
 # ----------------------------------------------------------------------
 def _chain_plan():
     graph = clique(15)
@@ -238,57 +234,63 @@ def _chain_plan():
     )
 
 
-@pytest.mark.skipif(get_run_epoch_kernel() is None, reason="kernel v6 unavailable")
-def test_v6_executor_matches_v5_stack():
-    """The in-kernel-stream executor ≡ the v5 refill stack, field for field."""
-    plan = _chain_plan()
-    assert plan.mode == "shared" and _stack_v6_eligible(plan)
-    via_v6 = [_result_tuple(r) for r in _execute_stack_v6(_chain_plan())]
-    via_v5 = [_result_tuple(r) for r in _execute_stack(_chain_plan())]
-    assert via_v6 == via_v5
+@pytest.mark.skipif(get_run_epoch_kernel() is None, reason="epoch kernel unavailable")
+def test_stack_requires_kernel_seedable_seeds():
+    """Seeds the kernel cannot reproduce send the plan replica by replica.
 
-
-@pytest.mark.skipif(get_run_epoch_kernel() is None, reason="kernel v6 unavailable")
-def test_v6_requires_kernel_seedable_seeds():
-    """Seeds the kernel cannot reproduce drop the plan to the v5 stack."""
+    A >64-bit integer and live PCG64 Generators both take the per-replica
+    path; results match standalone runs field for field, and each caller
+    Generator ends in the state a standalone run leaves it in.
+    """
     graph = clique(12)
     protocol = TokenLeaderElection()
+    max_steps = 50_000
     seeds = [3, 2**64 + 5, 11]  # >64-bit entropy: NumPy-only seeding
     plan = compile_plan(
-        [protocol] * len(seeds), graph, seeds, max_steps=50_000, engine="compiled"
+        [protocol] * len(seeds), graph, seeds, max_steps=max_steps, engine="compiled"
     )
-    assert plan.mode == "shared" and not _stack_v6_eligible(plan)
+    assert plan.mode == "shared" and not _stack_eligible(plan)
     for replica_seed, result in zip(seeds, execute_plan(plan)):
         single = Simulator(graph, protocol, rng=replica_seed, engine="compiled").run(
-            max_steps=50_000
+            max_steps=max_steps
         )
         assert _result_tuple(result) == _result_tuple(single)
 
+    entropy = [derive_seed(MASTER_SEED, "generator", r) for r in range(4)]
+    generators = [np.random.Generator(np.random.PCG64(e)) for e in entropy]
+    plan = compile_plan(
+        [protocol] * len(generators), graph, generators, max_steps=max_steps, engine="compiled"
+    )
+    assert plan.mode == "shared" and not _stack_eligible(plan)
+    results = execute_plan(plan)
+    for e, generator, result in zip(entropy, generators, results):
+        standalone = np.random.Generator(np.random.PCG64(e))
+        single = Simulator(graph, protocol, rng=standalone, engine="compiled").run(
+            max_steps=max_steps
+        )
+        assert _result_tuple(result) == _result_tuple(single)
+        assert generator.bit_generator.state == standalone.bit_generator.state
 
-@pytest.mark.skipif(get_run_epoch_kernel() is None, reason="kernel v6 unavailable")
+
+@pytest.mark.skipif(get_run_epoch_kernel() is None, reason="epoch kernel unavailable")
 def test_fallback_chain_simulated_missing_kernels():
-    """Disabling each kernel tier in turn never changes measured values.
+    """Losing the native kernel never changes measured values.
 
-    ``REPRO_DISABLE_NATIVE_V6`` simulates a missing v6 ``.so`` (v5 stack
-    serves the plan); ``REPRO_DISABLE_NATIVE`` plus a cache reset
-    simulates no native kernel at all (per-replica NumPy backends).
+    ``REPRO_DISABLE_NATIVE`` plus a cache reset simulates no native
+    kernel at all: the epoch stack declines and the per-replica NumPy
+    backends serve the plan.
     """
-    baseline = [_result_tuple(r) for r in execute_plan(_chain_plan())]
+    plan = _chain_plan()
+    assert _stack_eligible(plan)
+    baseline = [_result_tuple(r) for r in execute_plan(plan)]
     try:
-        os.environ["REPRO_DISABLE_NATIVE_V6"] = "1"
-        plan = _chain_plan()
-        assert not _stack_v6_eligible(plan)
-        via_v5 = [_result_tuple(r) for r in execute_plan(plan)]
-        assert via_v5 == baseline, "v6→v5 fallback changed results"
-
         os.environ["REPRO_DISABLE_NATIVE"] = "1"
         reset_kernel_cache()
         plan = _chain_plan()
-        assert get_run_multi_kernel() is None
+        assert get_run_epoch_kernel() is None and not _stack_eligible(plan)
         via_numpy = [_result_tuple(r) for r in execute_plan(plan)]
-        assert via_numpy == baseline, "v5→NumPy fallback changed results"
+        assert via_numpy == baseline, "stack→NumPy fallback changed results"
     finally:
-        os.environ.pop("REPRO_DISABLE_NATIVE_V6", None)
         os.environ.pop("REPRO_DISABLE_NATIVE", None)
         reset_kernel_cache()
     assert get_run_epoch_kernel() is not None  # chain restored for later tests

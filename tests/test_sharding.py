@@ -496,6 +496,42 @@ class TestShardWorkerPool:
             pool.close()
 
 
+def _kill_workers_at_chunk(monkeypatch, chunk):
+    """Make every shard worker ``os._exit(1)`` on its ``chunk``-th super-step.
+
+    ``ShardWorkerPool`` looks ``_worker_main`` up when it creates each
+    process, so the forked workers inherit the patched target; it wraps
+    the worker's connection and dies on receiving the ``chunk``-th
+    (0-based) ``chunk`` message.
+    """
+    import os
+
+    import repro.sharding.pool as pool_module
+
+    worker_main = pool_module._worker_main
+
+    class DyingConnection:
+        def __init__(self, conn):
+            self._conn = conn
+            self._chunks = 0
+
+        def send(self, msg):
+            self._conn.send(msg)
+
+        def recv(self):
+            msg = self._conn.recv()
+            if msg[0] == "chunk":
+                if self._chunks == chunk:
+                    os._exit(1)
+                self._chunks += 1
+            return msg
+
+    def dying_worker_main(conn, *args):
+        worker_main(DyingConnection(conn), *args)
+
+    monkeypatch.setattr(pool_module, "_worker_main", dying_worker_main)
+
+
 class TestWorkerPoolFailure:
     """Failure paths: a broken or unavailable pool demotes to the
     in-process sharded path byte-identically."""
@@ -523,7 +559,7 @@ class TestWorkerPoolFailure:
         # Every worker os._exit(1)s at the start of its third super-step:
         # the parent sees the dead pipe mid-chunk, closes the pool and
         # reruns the replica (and all later ones) in-process.
-        monkeypatch.setenv("REPRO_SHARD_WORKER_KILL_AFTER_CHUNKS", "2")
+        _kill_workers_at_chunk(monkeypatch, 2)
         killed = [
             result_tuple(r)
             for r in execute_plan(
@@ -539,7 +575,7 @@ class TestWorkerPoolFailure:
             result_tuple(r)
             for r in execute_plan(_plan(graph, "token", seeds, shards=4))
         ]
-        monkeypatch.setenv("REPRO_SHARD_WORKER_KILL_AFTER_CHUNKS", "0")
+        _kill_workers_at_chunk(monkeypatch, 0)
         killed = [
             result_tuple(r)
             for r in execute_plan(
