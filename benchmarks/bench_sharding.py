@@ -18,28 +18,25 @@ refuses at this size):
   (``REPRO_BENCH_RSS_MB`` to tune) and the child reports the partition
   fingerprint, pinning the layout the measurement ran on.
 
-**Throughput** (PR 10) — the span-scheduled kernel loop executes each
-routed chunk as one native call (``repro_run_sharded_chunk``: exact
-draw order, boundary events included) instead of a per-pair Python
-loop, and the shard-worker pool fans the same spans out across forked
-processes.  Both gates share the PR-9 per-pair Python loop as the
-baseline (``REPRO_DISABLE_SHARD_KERNEL`` + ``REPRO_DISABLE_SHARD_WORKERS``
-force it):
+**Throughput** — the span-scheduled kernel loop executes each routed
+chunk as one native call (``repro_run_sharded_chunk``: exact draw order,
+boundary events included).  Both gates measure it against the per-pair
+Python loop in ``tests/shard_oracle.py`` (``run_sharded_oracle``), the
+independent reference implementation the sharding tests compare
+against:
 
-* ``test_kernel_shard_loop_speedup`` gates the in-process kernel loop
-  at **≥ 3×** the Python loop on a 256×256 torus (8 shards, ~0.9 %
-  boundary draws), single process, and prints both paths' steps/sec
-  plus the opt-in ``shard_stats`` observability (run-length histogram,
-  boundary fraction, exchange accounting).
-* ``test_shard_worker_pool_speedup`` gates 4 shard workers at
-  **≥ 1.8×** the Python loop on a ring of four bridged cliques — the
-  clustered-topology case process parallelism exists for: the partition
-  aligns with the cliques, so only the bridge draws (~0.002 %) cross
-  shards and the workers run essentially handshake-free.  It runs only
-  where 4 cores exist.
+* ``test_kernel_shard_loop_speedup`` gates the chunk kernel at
+  **≥ 3×** the oracle on a 256×256 torus (8 shards, ~0.9 % boundary
+  draws), single process, and prints both paths' steps/sec plus the
+  opt-in ``shard_stats`` observability (run-length histogram, boundary
+  fraction, exchange accounting).
+* ``test_kernel_clustered_speedup`` gates the chunk kernel at
+  **≥ 1.8×** the oracle on a ring of four bridged 300-cliques — a
+  clustered topology whose aligned partition leaves only the bridge
+  draws (~0.002 %) crossing shards.
 
-Both throughput tests first assert the faster path's results are
-bit-identical to the slower one's — the speedup must never come at the
+Both throughput tests first assert the kernel's results are
+bit-identical to the oracle's — the speedup must never come at the
 cost of the seeded-stream contract.
 """
 
@@ -53,7 +50,7 @@ import time
 
 import pytest
 
-from repro.engine.native import get_run_shard_kernel
+from repro.engine.native import get_run_sharded_chunk_kernel
 from repro.experiments import render_table
 from repro.graphs import torus
 from repro.protocols import TokenLeaderElection
@@ -61,6 +58,7 @@ from repro.runtime import compile_plan
 from repro.sharding import PartitionedGraph, execute_sharded, sharded_eligible
 
 from _helpers import run_once
+from shard_oracle import run_sharded_oracle
 
 RSS_CEILING_MB = float(os.environ.get("REPRO_BENCH_RSS_MB", "2048"))
 
@@ -163,14 +161,14 @@ def test_million_node_torus_under_rss_ceiling():
 
 
 # ----------------------------------------------------------------------
-# Throughput gates: kernel-backed shard loops and the worker pool
+# Throughput gates: the chunk kernel against the per-pair oracle loop
 # ----------------------------------------------------------------------
 THROUGHPUT_SIDE = 256  # 256x256 torus: n = 65_536, m = 131_072
 THROUGHPUT_STEPS = 2_000_000
 THROUGHPUT_SHARDS = 8
 THROUGHPUT_SEED = 20260808
-POOL_CLIQUES = 4  # ring of 4 bridged cliques, one per shard/worker
-POOL_CLIQUE_SIZE = 300
+CLUSTER_CLIQUES = 4  # ring of 4 bridged cliques, one per shard
+CLUSTER_CLIQUE_SIZE = 300
 
 
 def _ring_of_cliques(k, c):
@@ -214,14 +212,12 @@ def _throughput_plan(graph, shards, **kwargs):
     return plan
 
 
-def _measure_shard_paths(
-    graph, fast_env, slow_env, fast_kwargs=None, rounds=3, shards=THROUGHPUT_SHARDS
-):
-    """(fast seconds, slow seconds, fast result, slow result, stats).
+def _measure_kernel_and_oracle(graph, shards, rounds=3):
+    """(kernel seconds, oracle seconds, kernel result, stats).
 
     Interleaved min-of-N rounds: transient machine load hits both paths
     alike instead of biasing whichever side ran during it.  ``stats``
-    is the fast path's opt-in shard observability from an extra
+    is the kernel path's opt-in shard observability from an extra
     untimed run.
     """
 
@@ -230,54 +226,65 @@ def _measure_shard_paths(
     # about the execution loop, not the spool build.
     partition = PartitionedGraph(graph, shards)
 
-    def run(env, **kwargs):
-        saved = {key: os.environ.get(key) for key in env}
-        os.environ.update(env)
-        try:
-            (result,) = execute_sharded(
-                _throughput_plan(graph, shards, **kwargs), partition
-            )
-        finally:
-            for key, value in saved.items():
-                if value is None:
-                    os.environ.pop(key, None)
-                else:
-                    os.environ[key] = value
+    def kernel(**kwargs):
+        (result,) = execute_sharded(_throughput_plan(graph, shards, **kwargs), partition)
         return result
 
-    fast_kwargs = fast_kwargs or {}
+    def oracle():
+        (result,) = run_sharded_oracle(_throughput_plan(graph, shards), partition)
+        return result
+
     # Untimed warm-up: table/kernel compilation and the partition spool
     # land outside the measurement.
-    run(fast_env, **fast_kwargs)
-    run(slow_env)
+    kernel()
+    oracle()
 
-    fast_seconds = float("inf")
-    slow_seconds = float("inf")
+    kernel_seconds = float("inf")
+    oracle_seconds = float("inf")
     fast = slow = None
     for _ in range(rounds):
         start = time.perf_counter()
-        fast = run(fast_env, **fast_kwargs)
-        fast_seconds = min(fast_seconds, time.perf_counter() - start)
+        fast = kernel()
+        kernel_seconds = min(kernel_seconds, time.perf_counter() - start)
 
         start = time.perf_counter()
-        slow = run(slow_env)
-        slow_seconds = min(slow_seconds, time.perf_counter() - start)
+        slow = oracle()
+        oracle_seconds = min(oracle_seconds, time.perf_counter() - start)
 
     # The gate is meaningless unless both paths agree bit for bit.
     assert _result_tuple(fast) == _result_tuple(slow), (
-        "shard execution paths diverged — determinism contract broken"
+        "chunk kernel diverged from the oracle — determinism contract broken"
     )
-    stats_run = run(fast_env, collect_shard_stats=True, **fast_kwargs)
-    return fast_seconds, slow_seconds, fast, slow, stats_run.shard_stats
+    stats = kernel(collect_shard_stats=True).shard_stats
+    return kernel_seconds, oracle_seconds, fast, stats
+
+
+def _print_speedup(title, graph_label, shards, steps, oracle_s, kernel_s):
+    print()
+    print(
+        render_table(
+            [
+                {
+                    "graph": graph_label,
+                    "shards": shards,
+                    "steps": steps,
+                    "oracle s": round(oracle_s, 3),
+                    "kernel s": round(kernel_s, 3),
+                    "oracle steps/s": f"{steps / oracle_s:,.0f}",
+                    "kernel steps/s": f"{steps / kernel_s:,.0f}",
+                    "speedup": round(oracle_s / kernel_s, 2),
+                }
+            ],
+            title=title,
+        )
+    )
 
 
 def _print_shard_stats(stats):
     histogram = {int(k): v for k, v in stats["run_length_histogram"].items()}
     rows = [
         {
-            "path": stats["path"],
             "shards": stats["shards"],
-            "workers": stats["workers"],
             "boundary pairs": stats["boundary_pairs"],
             "runs": sum(histogram.values()),
             "run lengths": " ".join(
@@ -292,87 +299,47 @@ def _print_shard_stats(stats):
 
 @pytest.mark.benchmark(group="sharding")
 def test_kernel_shard_loop_speedup(benchmark):
-    """Kernel-backed shard loops must beat the PR-9 Python loop ≥ 3×."""
-    if get_run_shard_kernel() is None:
-        pytest.skip("native shard kernel unavailable")
+    """The chunk kernel must beat the per-pair oracle loop ≥ 3×."""
+    if get_run_sharded_chunk_kernel() is None:
+        pytest.skip("native chunk kernel unavailable")
     graph = torus(THROUGHPUT_SIDE, THROUGHPUT_SIDE)
-    kernel_s, python_s, result, _, stats = run_once(
-        benchmark,
-        _measure_shard_paths,
-        graph,
-        {},
-        {"REPRO_DISABLE_SHARD_KERNEL": "1"},
+    kernel_s, oracle_s, result, stats = run_once(
+        benchmark, _measure_kernel_and_oracle, graph, THROUGHPUT_SHARDS
     )
-    speedup = python_s / kernel_s
-    steps = result.steps_executed
-    print()
-    print(
-        render_table(
-            [
-                {
-                    "graph": f"torus {THROUGHPUT_SIDE}x{THROUGHPUT_SIDE}",
-                    "shards": THROUGHPUT_SHARDS,
-                    "steps": steps,
-                    "python s": round(python_s, 3),
-                    "kernel s": round(kernel_s, 3),
-                    "python steps/s": f"{steps / python_s:,.0f}",
-                    "kernel steps/s": f"{steps / kernel_s:,.0f}",
-                    "speedup": round(speedup, 2),
-                }
-            ],
-            title="SHARDING: kernel-backed shard loops vs per-pair Python loop",
-        )
+    _print_speedup(
+        "SHARDING: chunk kernel vs per-pair oracle loop (torus)",
+        f"torus {THROUGHPUT_SIDE}x{THROUGHPUT_SIDE}",
+        THROUGHPUT_SHARDS,
+        result.steps_executed,
+        oracle_s,
+        kernel_s,
     )
     _print_shard_stats(stats)
+    speedup = oracle_s / kernel_s
     assert speedup >= 3.0, f"speedup {speedup:.2f}x below the 3x gate"
 
 
 @pytest.mark.benchmark(group="sharding")
-@pytest.mark.skipif((os.cpu_count() or 1) < 4, reason="needs >= 4 cores")
-def test_shard_worker_pool_speedup(benchmark):
-    """4 shard workers must beat the PR-9 per-pair Python loop ≥ 1.8×.
-
-    The workload is the pool's honest habitat: a clustered topology
-    whose aligned partition leaves only ~0.002 % of draws crossing
-    shards, so the forked workers run handshake-free between
-    super-steps.  (On boundary-heavy workloads the in-process chunk
-    kernel — gated above — is the right path; the executor's fallback
-    chain picks it whenever no pool is requested.)
-    """
-    if get_run_shard_kernel() is None:
-        pytest.skip("native shard kernel unavailable")
-    graph = _ring_of_cliques(POOL_CLIQUES, POOL_CLIQUE_SIZE)
-    pool_s, python_s, result, _, stats = run_once(
-        benchmark,
-        _measure_shard_paths,
-        graph,
-        {},
-        {"REPRO_DISABLE_SHARD_KERNEL": "1", "REPRO_DISABLE_SHARD_WORKERS": "1"},
-        fast_kwargs={"shard_workers": 4},
-        shards=POOL_CLIQUES,
+def test_kernel_clustered_speedup(benchmark):
+    """The chunk kernel must beat the per-pair oracle loop ≥ 1.8× on a
+    clustered topology (a ring of four bridged cliques, one per shard),
+    where almost every draw is shard-local."""
+    if get_run_sharded_chunk_kernel() is None:
+        pytest.skip("native chunk kernel unavailable")
+    graph = _ring_of_cliques(CLUSTER_CLIQUES, CLUSTER_CLIQUE_SIZE)
+    kernel_s, oracle_s, result, stats = run_once(
+        benchmark, _measure_kernel_and_oracle, graph, CLUSTER_CLIQUES
     )
-    speedup = python_s / pool_s
-    steps = result.steps_executed
-    print()
-    print(
-        render_table(
-            [
-                {
-                    "graph": graph.name,
-                    "shards": POOL_CLIQUES,
-                    "workers": 4,
-                    "steps": steps,
-                    "python s": round(python_s, 3),
-                    "pool s": round(pool_s, 3),
-                    "pool steps/s": f"{steps / pool_s:,.0f}",
-                    "speedup": round(speedup, 2),
-                }
-            ],
-            title="SHARDING: 4-worker pool vs per-pair Python loop",
-        )
+    _print_speedup(
+        "SHARDING: chunk kernel vs per-pair oracle loop (clustered)",
+        graph.name,
+        CLUSTER_CLIQUES,
+        result.steps_executed,
+        oracle_s,
+        kernel_s,
     )
     _print_shard_stats(stats)
-    assert stats["path"] == "pool" and stats["workers"] == 4
+    speedup = oracle_s / kernel_s
     assert speedup >= 1.8, f"speedup {speedup:.2f}x below the 1.8x gate"
 
 

@@ -19,9 +19,12 @@ import sys
 
 import pytest
 
-_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# ``src`` for the package, ``tests`` for the shared reference oracles
+# (``shard_oracle``) that some benchmarks gate against.
+for _path in (os.path.join(_ROOT, "tests"), os.path.join(_ROOT, "src")):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
 
 
 def pytest_addoption(parser):

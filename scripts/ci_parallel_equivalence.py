@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI gate: every execution placement is byte-identical to the serial path.
 
-Runs a tiny two-protocol scenario three times through the stack —
+Runs a tiny two-protocol scenario four times through the stack —
 
 * serially (``jobs=1``),
 * sharded over two fork-worker processes (``jobs=2``),
@@ -9,15 +9,13 @@ Runs a tiny two-protocol scenario three times through the stack —
   *remote* workers connected over real sockets on localhost,
 * on the partitioned graph engine (``shards=4``): every unit executes
   through :mod:`repro.sharding`'s shard-local executor instead of the
-  replica-batched stack,
-* on the shard-worker pool (``shards=4, shard_workers=4``): the same
-  sharded units, but every chunk fans out across four forked shard
-  workers over shared-memory state,
+  replica-batched stack (the unsharded chain when the native kernel
+  is unavailable),
 
 with the result store disabled for the local placements and a throwaway
 store for the server (CI must never read from or populate
 ``.repro_cache/``; cached results would mask a divergence, which is
-exactly what this job exists to catch).  All five canonical JSON
+exactly what this job exists to catch).  All four canonical JSON
 aggregates must match byte for byte — for the sharded placement this is
 the engine's determinism contract itself (partitioning decides *where*
 a pair is applied, never *which* pair is drawn).
@@ -75,9 +73,6 @@ def main() -> int:
         "4-shard engine": run_scenario(
             scenario.with_overrides(shards=4), jobs=1, cache=False
         ),
-        "4-shard engine + 4 shard workers": run_scenario(
-            scenario.with_overrides(shards=4, shard_workers=4), jobs=1, cache=False
-        ),
     }
 
     serial_bytes = serial.canonical_json().encode("utf-8")
@@ -94,8 +89,7 @@ def main() -> int:
         f"{serial.total_units} work units, serial {serial.wall_time_seconds:.2f}s, "
         f"fork {placements['2 fork workers'].wall_time_seconds:.2f}s, "
         f"service {placements['server + 2 remote workers'].wall_time_seconds:.2f}s, "
-        f"sharded {placements['4-shard engine'].wall_time_seconds:.2f}s, "
-        f"pool {placements['4-shard engine + 4 shard workers'].wall_time_seconds:.2f}s)"
+        f"sharded {placements['4-shard engine'].wall_time_seconds:.2f}s)"
     )
     return 0
 

@@ -158,13 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="graph shards per execution plan (partitioned executor)",
     )
-    sweep.add_argument(
-        "--shard-workers",
-        dest="shard_workers",
-        type=int,
-        default=None,
-        help="shard-worker processes per execution plan (0 = in-process)",
-    )
 
     serve = subparsers.add_parser(
         "serve", help="start the long-lived simulation job server"
@@ -295,13 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="graph shards per unit on the workers",
-    )
-    submit.add_argument(
-        "--shard-workers",
-        dest="shard_workers",
-        type=int,
-        default=None,
-        help="shard-worker processes per unit on the workers (0 = in-process)",
     )
     submit.add_argument(
         "--no-cache",
@@ -463,7 +449,7 @@ def _cmd_scenarios() -> int:
 
 
 def _scenario_overrides(args: argparse.Namespace) -> dict:
-    """The ``--sizes/--repetitions/--seed/--engine/--threads/--shards/--shard-workers`` overrides."""
+    """The ``--sizes/--repetitions/--seed/--engine/--threads/--shards`` overrides."""
     overrides = {}
     if getattr(args, "sizes", None) is not None:
         overrides["sizes"] = tuple(args.sizes)
@@ -477,8 +463,6 @@ def _scenario_overrides(args: argparse.Namespace) -> dict:
         overrides["threads"] = args.threads
     if getattr(args, "shards", None) is not None:
         overrides["shards"] = args.shards
-    if getattr(args, "shard_workers", None) is not None:
-        overrides["shard_workers"] = args.shard_workers
     return overrides
 
 

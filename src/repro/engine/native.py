@@ -25,7 +25,7 @@ import os
 import shutil
 import subprocess
 
-#: The kernel source: protocol stepping, shard runs and the single-source
+#: The kernel source: protocol stepping, sharded chunks and the single-source
 #: epidemic block fed pre-drawn pair indices from Python, plus the epoch
 #: runners whose seeded pair streams live *inside* the kernel.  The stream
 #: code is a bit-exact reimplementation of the exact NumPy stack this
@@ -95,66 +95,9 @@ int64_t repro_run_block(int64_t *codes,
     return i;
 }
 
-/* A shard-local run: repro_run_block against one shard's contiguous code
- * block, with an explicit per-draw global step number instead of the
- * step0 + i + 1 arithmetic.
- *
- * The sharded executor reorders commuting draws (all of one shard's
- * local interactions between two boundary events run back to back), so
- * a run's draws are not consecutive in the global stream; steps[i] is
- * draw i's true global step, and last-change bookkeeping records it
- * directly.  Callers pass *last_change_io = 0 and fold the result in
- * with max() — within a run steps[] is increasing, so the kernel's
- * final value is the run's last output change (or 0).
- *
- * Returns the number of interactions applied; a return value < nsteps
- * means entry (iu[ret], iv[ret]) is missing and must be filled by the
- * caller before resuming at offset ret (the miss-resume discipline).
- */
-int64_t repro_run_shard_block(int64_t *codes,
-                              const int64_t *iu,
-                              const int64_t *iv,
-                              const int64_t *steps,
-                              int64_t nsteps,
-                              const int32_t *dpack,
-                              int64_t k,
-                              int32_t kshift,
-                              uint8_t *seen,
-                              int64_t *last_change_io,
-                              int64_t *leaders_io)
-{
-    const int64_t kmask = k - 1;
-    int64_t last = *last_change_io;
-    int64_t leaders = *leaders_io;
-    int64_t i;
-    for (i = 0; i < nsteps; i++) {
-        int64_t u = iu[i];
-        int64_t v = iv[i];
-        int64_t a = codes[u];
-        int64_t b = codes[v];
-        int32_t pk = dpack[a * k + b];
-        int64_t val, na, nb;
-        if (pk < 0)
-            break;
-        val = (int64_t)(pk >> 4);
-        na = val >> kshift;
-        nb = val & kmask;
-        codes[u] = na;
-        codes[v] = nb;
-        seen[na] = 1;
-        seen[nb] = 1;
-        if (pk & 1)
-            last = steps[i];
-        leaders += ((pk >> 1) & 7) - 2;
-    }
-    *last_change_io = last;
-    *leaders_io = leaders;
-    return i;
-}
-
 /* One whole routed chunk of the sharded executor, global draw order.
  *
- * The in-process sharded path needs no run regrouping at all: node
+ * The sharded executor needs no run regrouping at all: node
  * state is one global code array, so every draw — shard-local or
  * boundary — applies in exact draw order with global endpoint indices,
  * and the chunk is a single kernel call.  The only thing the executor
@@ -1067,21 +1010,6 @@ def _bind_kernels(library):
         ctypes.POINTER(ctypes.c_int64),  # last_change_io
         ctypes.POINTER(ctypes.c_int64),  # leaders_io
     ]
-    run_shard_block = library.repro_run_shard_block
-    run_shard_block.restype = ctypes.c_int64
-    run_shard_block.argtypes = [
-        ctypes.c_void_p,  # codes (one shard's contiguous block)
-        ctypes.c_void_p,  # iu (shard-local initiator indices)
-        ctypes.c_void_p,  # iv (shard-local responder indices)
-        ctypes.c_void_p,  # steps (per-draw global step numbers)
-        ctypes.c_int64,  # nsteps
-        ctypes.c_void_p,  # dpack
-        ctypes.c_int64,  # k
-        ctypes.c_int32,  # kshift
-        ctypes.c_void_p,  # seen
-        ctypes.POINTER(ctypes.c_int64),  # last_change_io
-        ctypes.POINTER(ctypes.c_int64),  # leaders_io
-    ]
     run_sharded_chunk = library.repro_run_sharded_chunk
     run_sharded_chunk.restype = ctypes.c_int64
     run_sharded_chunk.argtypes = [
@@ -1213,7 +1141,6 @@ def _bind_kernels(library):
     ]
     return {
         "run_block": run_block,
-        "run_shard_block": run_shard_block,
         "run_sharded_chunk": run_sharded_chunk,
         "broadcast_block": broadcast_block,
         "splitmix64": splitmix64,
@@ -1246,12 +1173,6 @@ def get_kernel():
     """The compiled protocol-stepping entry point, or ``None``."""
     kernels = _kernels()
     return None if kernels is None else kernels["run_block"]
-
-
-def get_run_shard_kernel():
-    """The shard-local block-run entry point (explicit step array), or ``None``."""
-    kernels = _kernels()
-    return None if kernels is None else kernels["run_shard_block"]
 
 
 def get_run_sharded_chunk_kernel():

@@ -293,7 +293,6 @@ def run_measurement_trials(
     schedule: Optional["TopologySchedule"] = None,
     threads: Optional[int] = None,
     shards: Optional[int] = None,
-    shard_workers: Optional[int] = None,
 ) -> Tuple[List[SimulationResult], Optional[int]]:
     """Execute an arbitrary subset of a measurement's trials.
 
@@ -321,7 +320,6 @@ def run_measurement_trials(
         schedule=schedule,
         threads=threads,
         shards=shards,
-        shard_workers=shard_workers,
     )
 
 
@@ -335,7 +333,6 @@ def run_trials_with_seeds(
     schedule: Optional["TopologySchedule"] = None,
     threads: Optional[int] = None,
     shards: Optional[int] = None,
-    shard_workers: Optional[int] = None,
 ) -> Tuple[List[SimulationResult], Optional[int]]:
     """Execute trials whose scheduler seeds are already derived.
 
@@ -373,7 +370,6 @@ def run_trials_with_seeds(
         schedule=schedule,
         threads=threads,
         shards=shards,
-        shard_workers=shard_workers,
     )
     return execute_plan(plan), state_space
 
@@ -390,7 +386,6 @@ def measure_protocol_on_graph(
     schedule: Optional["TopologySchedule"] = None,
     threads: Optional[int] = None,
     shards: Optional[int] = None,
-    shard_workers: Optional[int] = None,
 ) -> Measurement:
     """Run ``spec`` on ``graph`` ``repetitions`` times and aggregate.
 
@@ -421,7 +416,6 @@ def measure_protocol_on_graph(
         schedule=schedule,
         threads=threads,
         shards=shards,
-        shard_workers=shard_workers,
     )
     return measurement_from_records(
         spec.name,
@@ -492,7 +486,6 @@ def sweep_protocol_over_sizes(
     backend: str = "auto",
     threads: Optional[int] = None,
     shards: Optional[int] = None,
-    shard_workers: Optional[int] = None,
 ) -> SweepResult:
     """Measure a protocol on a workload for each population size in ``sizes``.
 
@@ -517,7 +510,6 @@ def sweep_protocol_over_sizes(
                 backend=backend,
                 threads=threads,
                 shards=shards,
-                shard_workers=shard_workers,
             )
         )
     return SweepResult(

@@ -161,10 +161,6 @@ class UnitPlan:
     #: like ``threads``, a capacity dial only — never part of the unit's
     #: identity.
     shards: Optional[int] = None
-    #: Shard-worker process count for the sharded executor's fork-based
-    #: pool (``None``/``0`` = in-process); a throughput dial only —
-    #: byte-identical for any value, never part of the unit's identity.
-    shard_workers: Optional[int] = None
 
     def build_graph(self) -> Graph:
         """The unit's interaction graph (served from the process memo)."""
@@ -214,7 +210,6 @@ def build_unit_plans(
                 schedule_seed=scenario.schedule_seed(unit.size_index),
                 threads=scenario.threads,
                 shards=scenario.shards,
-                shard_workers=scenario.shard_workers,
             )
         )
     return plans
@@ -252,7 +247,6 @@ def unit_plan_to_wire(plan: UnitPlan) -> Dict[str, Any]:
         "schedule_seed": plan.schedule_seed,
         "threads": plan.threads,
         "shards": plan.shards,
-        "shard_workers": plan.shard_workers,
     }
 
 
@@ -286,9 +280,6 @@ def unit_plan_from_wire(wire: Dict[str, Any]) -> UnitPlan:
         schedule_seed=int(wire.get("schedule_seed", 0)),
         threads=(int(wire["threads"]) if wire.get("threads") is not None else None),
         shards=(int(wire["shards"]) if wire.get("shards") is not None else None),
-        shard_workers=(
-            int(wire["shard_workers"]) if wire.get("shard_workers") is not None else None
-        ),
     )
 
 
@@ -329,7 +320,6 @@ def execute_unit_plan(plan: UnitPlan) -> Dict[str, Any]:
         schedule=schedule,
         threads=plan.threads,
         shards=plan.shards,
-        shard_workers=plan.shard_workers,
     )
     return unit_payload(plan, results, state_space)
 

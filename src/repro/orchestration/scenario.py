@@ -305,13 +305,6 @@ class Scenario:
         dial — results are bit-identical for any value (gated by
         ``tests/test_sharding.py``), so it too is *excluded* from
         :meth:`config_dict` and the content hash.
-    shard_workers:
-        Optional process count for the sharded executor's fork-based
-        shard-worker pool (``0``/``None`` = in-process, the default).
-        Purely a throughput dial riding on ``shards``: results are
-        byte-identical for any worker count and an unavailable pool
-        silently demotes to the in-process sharded path, so it too is
-        *excluded* from :meth:`config_dict` and the content hash.
     schedule:
         Optional declarative topology schedule (:class:`ScheduleConfig`).
         ``None`` (the default) runs on the static workload graph; a
@@ -341,7 +334,6 @@ class Scenario:
     backend: str = "auto"
     threads: Optional[int] = None
     shards: Optional[int] = None
-    shard_workers: Optional[int] = None
     schedule: Optional[ScheduleConfig] = None
     description: str = ""
 
@@ -366,13 +358,6 @@ class Scenario:
             object.__setattr__(self, "shards", int(self.shards))
             if self.shards < 1:
                 raise ScenarioError(f"scenario {self.name!r}: shards must be positive")
-        if self.shard_workers is not None:
-            object.__setattr__(self, "shard_workers", int(self.shard_workers))
-            if self.shard_workers < 0:
-                raise ScenarioError(
-                    f"scenario {self.name!r}: shard_workers must be non-negative "
-                    "(0 = in-process)"
-                )
 
     # ------------------------------------------------------------------
     # Validation / construction
@@ -423,11 +408,10 @@ class Scenario:
         The ``schedule`` key is present only on dynamic scenarios: static
         configs serialise exactly as they did before schedules existed,
         so their content hashes — and hence their cache directories —
-        are unchanged.  ``threads``, ``shards`` and ``shard_workers``
-        are deliberately absent: all three are execution dials that
-        never change measured values, so runs differing only in thread,
-        shard or shard-worker count share one cache directory (and one
-        canonical result).
+        are unchanged.  ``threads`` and ``shards`` are deliberately
+        absent: both are execution dials that never change measured
+        values, so runs differing only in thread or shard count share
+        one cache directory (and one canonical result).
         """
         config = {
             "name": self.name,
@@ -487,11 +471,6 @@ class Scenario:
             backend=str(config["backend"]),
             threads=(int(config["threads"]) if config.get("threads") is not None else None),
             shards=(int(config["shards"]) if config.get("shards") is not None else None),
-            shard_workers=(
-                int(config["shard_workers"])
-                if config.get("shard_workers") is not None
-                else None
-            ),
             schedule=(
                 ScheduleConfig.from_dict(config["schedule"])
                 if config.get("schedule") is not None

@@ -91,12 +91,6 @@ class ExecutionPlan:
     #: stack.  Purely a capacity dial — results are bit-identical for
     #: any value, and ineligible plans fall through unchanged.
     shards: Optional[int] = None
-    #: Process count for the sharded executor's fork-based shard-worker
-    #: pool; ``None`` or ``0`` runs the shards in-process (the default).
-    #: Purely a throughput dial — results are byte-identical for any
-    #: value, and an unavailable pool (no fork, incomplete tables, a
-    #: killed worker) silently demotes to the in-process sharded path.
-    shard_workers: Optional[int] = None
     #: Opt-in per-shard observability: when set, the sharded executor
     #: attaches a ``shard_stats`` dict to every ``SimulationResult``
     #: (excluded from canonical aggregates — it never affects measured
@@ -156,7 +150,6 @@ def compile_plan(
     drain_width: int = 0,
     threads: Optional[int] = None,
     shards: Optional[int] = None,
-    shard_workers: Optional[int] = None,
     collect_shard_stats: bool = False,
 ) -> ExecutionPlan:
     """Resolve one workload into an :class:`ExecutionPlan`.
@@ -185,8 +178,6 @@ def compile_plan(
         raise ValueError("threads must be positive")
     if shards is not None and int(shards) < 1:
         raise ValueError("shards must be positive")
-    if shard_workers is not None and int(shard_workers) < 0:
-        raise ValueError("shard_workers must be non-negative (0 = in-process)")
     if schedule is not None:
         if scheduler is not None:
             raise ValueError("pass either schedule or scheduler, not both")
@@ -256,6 +247,5 @@ def compile_plan(
         drain_width=drain_width,
         threads=None if threads is None else int(threads),
         shards=None if shards is None else int(shards),
-        shard_workers=None if shard_workers is None else int(shard_workers),
         collect_shard_stats=bool(collect_shard_stats),
     )

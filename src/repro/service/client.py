@@ -159,8 +159,6 @@ class ServiceClient:
                     submit["threads"] = scenario.threads
                 if scenario.shards is not None:
                     submit["shards"] = scenario.shards
-                if scenario.shard_workers is not None:
-                    submit["shard_workers"] = scenario.shard_workers
             else:
                 submit["name"] = name
                 if overrides:

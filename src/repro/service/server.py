@@ -94,6 +94,13 @@ from .protocol import (
     write_frame,
 )
 
+#: Every top-level key a ``submit`` frame may carry.  Anything else — a
+#: stale client's retired dial or a typo — is rejected by name instead
+#: of silently running with default settings.
+_SUBMIT_KEYS = frozenset(
+    ("type", "cache", "config", "name", "overrides", "threads", "shards")
+)
+
 
 class _UnitTask:
     """One unit's dispatch state inside one job."""
@@ -463,6 +470,11 @@ class JobServer:
     ) -> Optional[_Job]:
         """Validate one submit frame; reply ``accepted`` or ``reject``."""
         try:
+            unknown = sorted(set(frame) - _SUBMIT_KEYS)
+            if unknown:
+                raise ScenarioError(
+                    f"unknown submit frame key(s): {', '.join(map(str, unknown))}"
+                )
             if frame.get("config") is not None:
                 scenario = Scenario.from_config(frame["config"])
             elif frame.get("name"):
@@ -476,10 +488,6 @@ class JobServer:
                 scenario = scenario.with_overrides(threads=int(frame["threads"]))
             if frame.get("shards") is not None:
                 scenario = scenario.with_overrides(shards=int(frame["shards"]))
-            if frame.get("shard_workers") is not None:
-                scenario = scenario.with_overrides(
-                    shard_workers=int(frame["shard_workers"])
-                )
             scenario.validate()
         except (ScenarioError, KeyError, TypeError, ValueError) as error:
             await self._best_effort(writer, {"type": "reject", "reason": str(error)})

@@ -7,11 +7,10 @@ stream to owning shards through memory-mapped routing tables
 queues (:class:`ExchangeQueue`), and executes plans shard-locally
 (:func:`execute_sharded`) behind the same probe-and-fallback seam as the
 epoch stack → NumPy executor chain.  Execution follows the *span*
-schedule (:class:`SpanBlock`): the whole routed chunk runs in draw order
-as native-kernel calls against a global code array — in-process as one
-call per chunk, or split per owning worker across the fork-based
-:class:`ShardWorkerPool` (``shard_workers=``) — and only boundary events
-stay order-critical.
+schedule (:class:`SpanBlock`): each routed chunk runs in draw order as
+one native-kernel call against a global code array, and only boundary
+events stay order-critical.  Without the kernel a sharded plan takes the
+unsharded executor chain, which gives identical results.
 
 The determinism contract (gated by ``tests/test_sharding.py`` and
 ``scripts/ci_parallel_equivalence.py``): 1-shard execution is
@@ -23,7 +22,6 @@ semantics dial.
 
 from .executor import execute_sharded, sharded_eligible
 from .partition import PARTITION_MODES, PartitionedGraph
-from .pool import ShardPoolError, ShardWorkerPool
 from .source import ExchangeQueue, ShardedInteractionSource, SpanBlock
 
 __all__ = [
@@ -32,8 +30,6 @@ __all__ = [
     "ExchangeQueue",
     "ShardedInteractionSource",
     "SpanBlock",
-    "ShardPoolError",
-    "ShardWorkerPool",
     "execute_sharded",
     "sharded_eligible",
 ]

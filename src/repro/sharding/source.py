@@ -85,14 +85,12 @@ class SpanBlock:
     """One routed chunk in original draw order, annotated for spans.
 
     The draws strictly between two boundary events are contiguous in
-    draw order and all shard-local, so the in-process kernel backend
-    executes each such *span* as a single native call against the global
-    code array, and the worker pool splits the same draw-order arrays
-    per owning worker — no per-shard regrouping, no argsort, an order of
-    magnitude fewer kernel invocations than per-run dispatch.  Endpoints
-    are **global** node ids (``gu``/``gv``); the per-draw shard
-    annotations locate the boundary events, assign owners, and feed the
-    opt-in shard statistics.
+    draw order and all shard-local, so they commute per shard; the
+    sharded executor runs the whole chunk — boundary events included —
+    as one native call against the global code array, with no per-shard
+    regrouping.  Endpoints are **global** node ids (``gu``/``gv``); the
+    per-draw shard annotations locate the boundary events and feed the
+    exchange accounting and the opt-in shard statistics.
     """
 
     size: int
@@ -158,9 +156,10 @@ class ShardedInteractionSource:
         but resolves them straight to **global** node ids from the
         graph's edge arrays and the in-memory node assignment — the
         memory-mapped routing tables are never touched, and no
-        regrouping happens.  This is the fast in-process schedule: the
-        contiguous stretch between two boundary positions is shard-local
-        by construction, so it runs as one native-kernel call.
+        regrouping happens.  This is the schedule the sharded executor
+        runs: the contiguous stretch between two boundary positions is
+        shard-local by construction, and the whole chunk is one
+        native-kernel call.
         """
         indices = self.source.next_pair_indices(size)
         p = self.partition

@@ -128,13 +128,19 @@ class TestPathInvariance:
         reset_kernel_cache()
         import os
 
+        previous = os.environ.get("REPRO_DISABLE_NATIVE")
         os.environ["REPRO_DISABLE_NATIVE"] = "1"
         try:
             reset_kernel_cache()
             fallback = run_epidemic_batch(g, sources, seeds, budget)
             scalar = run_epidemic_batch(g, sources, seeds, budget, replica_batch=1)
         finally:
-            del os.environ["REPRO_DISABLE_NATIVE"]
+            # Restore, never delete: a suite run under
+            # REPRO_DISABLE_NATIVE=1 must stay kernel-less afterwards.
+            if previous is None:
+                del os.environ["REPRO_DISABLE_NATIVE"]
+            else:
+                os.environ["REPRO_DISABLE_NATIVE"] = previous
             reset_kernel_cache()
         assert native.tolist() == fallback.tolist() == scalar.tolist()
 
@@ -145,13 +151,19 @@ class TestPathInvariance:
         native = run_influence_batch(g, seeds, budget)
         import os
 
+        previous = os.environ.get("REPRO_DISABLE_NATIVE")
         os.environ["REPRO_DISABLE_NATIVE"] = "1"
         try:
             reset_kernel_cache()
             fallback = run_influence_batch(g, seeds, budget)
             scalar = run_influence_batch(g, seeds, budget, replica_batch=1)
         finally:
-            del os.environ["REPRO_DISABLE_NATIVE"]
+            # Restore, never delete: a suite run under
+            # REPRO_DISABLE_NATIVE=1 must stay kernel-less afterwards.
+            if previous is None:
+                del os.environ["REPRO_DISABLE_NATIVE"]
+            else:
+                os.environ["REPRO_DISABLE_NATIVE"] = previous
             reset_kernel_cache()
         assert native.tolist() == fallback.tolist() == scalar.tolist()
         # The packed-bitset engine must agree with a naive frozenset

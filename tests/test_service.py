@@ -182,6 +182,42 @@ class TestSubmissionByName:
 
         run_service(submit, n_workers=0, cache_dir=tmp_path / "server")
 
+    def test_unknown_frame_key_rejected_by_name(self, tmp_path):
+        """A retired dial or a typo in the submit frame is refused, not
+        silently run with default settings."""
+
+        async def submit(server, host, port):
+            reader, writer = await open_service_connection(host, port, MAX_FRAME_BYTES)
+            await write_frame(writer, hello_frame("client"))
+            welcome = await read_frame(reader, MAX_FRAME_BYTES)
+            assert welcome["type"] == "welcome"
+            await write_frame(
+                writer,
+                {
+                    "type": "submit",
+                    "name": "clique-n100",
+                    "shard_workers": 4,
+                    "shrads": 2,
+                },
+            )
+            reply = await read_frame(reader, MAX_FRAME_BYTES)
+            writer.close()
+            return reply
+
+        reply = run_service(submit, n_workers=0, cache_dir=tmp_path / "server")
+        assert reply["type"] == "reject"
+        assert "shard_workers" in reply["reason"]
+        assert "shrads" in reply["reason"]
+
+    def test_unknown_override_rejected(self, tmp_path):
+        async def submit(server, host, port):
+            with pytest.raises(ServiceError, match="rejected.*shard_workers"):
+                await ServiceClient(host, port).submit_async(
+                    name="clique-n100", overrides={"shard_workers": 2}
+                )
+
+        run_service(submit, n_workers=0, cache_dir=tmp_path / "server")
+
 
 async def _worker_handshake(host, port):
     reader, writer = await open_service_connection(host, port, MAX_FRAME_BYTES)

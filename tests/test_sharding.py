@@ -11,6 +11,12 @@ gated here (and, across process placements, by
   shards never changes a measured value, because partitioning decides
   *where* a pair is applied, never *which* pair is drawn.
 
+Both halves are also checked against an independent implementation:
+``shard_oracle.run_sharded_oracle``, a per-pair Python loop over
+shard-local state.  The sharded executor needs the native chunk kernel;
+without it (``REPRO_DISABLE_NATIVE=1``) sharded plans take the unsharded
+chain, and the same comparisons check that chain instead.
+
 The structural half pins the partitioner itself: a seeded golden
 fixture freezes the hash assignment and the partition fingerprint, so
 any drift in the SplitMix64 constants or the rounding rules fails
@@ -22,7 +28,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from shard_oracle import run_sharded_oracle
+
 from repro.dynamics import EpochSchedule
+from repro.engine.native import get_run_sharded_chunk_kernel
 from repro.graphs import GraphError, clique, cycle, star, torus
 from repro.protocols import StarLeaderElection, TokenLeaderElection
 from repro.protocols.identifier import IdentifierLeaderElection
@@ -37,7 +46,12 @@ from repro.sharding import (
 from repro.sharding.partition import node_assignment
 from repro.sharding.source import ExchangeError
 
-SEED = 20260808  # PR-9 case stream
+SEED = 20260808  # fixed case stream
+
+needs_kernel = pytest.mark.skipif(
+    get_run_sharded_chunk_kernel() is None,
+    reason="the sharded executor needs the native chunk kernel",
+)
 
 
 def result_tuple(result):
@@ -84,7 +98,8 @@ class TestExecutorEquivalence:
             result_tuple(r) for r in execute_plan(_plan(graph, protocol_kind, seeds))
         ]
         sharded_plan = _plan(graph, protocol_kind, seeds, shards=1)
-        assert sharded_eligible(sharded_plan)
+        have_kernel = get_run_sharded_chunk_kernel() is not None
+        assert sharded_eligible(sharded_plan) == have_kernel
         sharded = [result_tuple(r) for r in execute_plan(sharded_plan)]
         assert sharded == batched
 
@@ -97,6 +112,7 @@ class TestExecutorEquivalence:
         many = [result_tuple(r) for r in execute_plan(_plan(graph, "token", seeds, shards=k))]
         assert many == one
 
+    @needs_kernel
     def test_hash_partition_matches_range_partition(self):
         """The executor result is invariant to the assignment policy."""
         from repro.sharding import execute_sharded
@@ -151,16 +167,19 @@ class TestFallbackChain:
             result_tuple(r) for r in execute_plan(base)
         ]
 
-    def test_disable_env_var_falls_back(self, monkeypatch):
+    def test_kernel_less_plan_falls_back(self, monkeypatch):
+        """Without the chunk kernel a sharded plan runs unsharded."""
+        import repro.sharding.executor as executor_module
+
         graph = clique(10)
         seeds = [SEED + 600, SEED + 601]
         plan = _plan(graph, "token", seeds, shards=4)
-        monkeypatch.setenv("REPRO_DISABLE_SHARDING", "1")
+        unsharded = [result_tuple(r) for r in execute_plan(_plan(graph, "token", seeds))]
+        monkeypatch.setattr(
+            executor_module, "get_run_sharded_chunk_kernel", lambda: None
+        )
         assert not sharded_eligible(plan)
-        disabled = [result_tuple(r) for r in execute_plan(plan)]
-        monkeypatch.delenv("REPRO_DISABLE_SHARDING")
-        assert sharded_eligible(plan)
-        assert [result_tuple(r) for r in execute_plan(plan)] == disabled
+        assert [result_tuple(r) for r in execute_plan(plan)] == unsharded
 
     def test_reference_engine_is_ineligible(self):
         graph = cycle(8)
@@ -400,8 +419,7 @@ class TestSpanSchedule:
         local = np.ones(768, dtype=bool)
         local[block.boundary_pos] = False
         # Every non-boundary draw has both endpoints on one shard: the
-        # stretch between two boundary positions commutes per shard, so
-        # it may run as one native call (or fan out across workers).
+        # stretch between two boundary positions commutes per shard.
         assert (block.init_shard[local] == block.resp_shard[local]).all()
         assert block.n_boundary == int((block.init_shard != block.resp_shard).sum())
 
@@ -419,172 +437,30 @@ class TestSpanSchedule:
 
 
 class TestKernelShardLoops:
-    """The kernel-backed shard loop is byte-identical to the per-pair
-    Python loop (the PR-9 path, kept behind REPRO_DISABLE_SHARD_KERNEL)."""
+    """``execute_plan`` on a sharded plan is byte-identical to the
+    per-pair oracle loop (``tests/shard_oracle.py``)."""
 
     @pytest.mark.parametrize("graph_kind", sorted(_GRAPHS))
     @pytest.mark.parametrize("protocol_kind", sorted(_PROTOCOLS))
-    def test_kernel_loop_matches_python_loop(
-        self, graph_kind, protocol_kind, monkeypatch
-    ):
+    def test_kernel_loop_matches_python_loop(self, graph_kind, protocol_kind):
         graph = _GRAPHS[graph_kind]()
         seeds = [SEED + 800 + index for index in range(2)]
         plan = _plan(graph, protocol_kind, seeds, shards=4)
-        kernel = [result_tuple(r) for r in execute_plan(plan)]
-        monkeypatch.setenv("REPRO_DISABLE_SHARD_KERNEL", "1")
-        python = [result_tuple(r) for r in execute_plan(plan)]
-        assert kernel == python
+        executed = [result_tuple(r) for r in execute_plan(plan)]
+        oracle = [result_tuple(r) for r in run_sharded_oracle(plan)]
+        assert executed == oracle
 
-
-class TestShardWorkerPool:
-    """Byte-identity of the fork-based worker pool for every worker
-    count, against both the in-process sharded path and the unsharded
-    batched stack (the ISSUE-10 differential suite)."""
-
-    @pytest.mark.parametrize("k", [2, 4])
-    @pytest.mark.parametrize("graph_kind", sorted(_GRAPHS))
-    @pytest.mark.parametrize("protocol_kind", sorted(_PROTOCOLS))
-    def test_worker_counts_are_byte_identical(self, k, graph_kind, protocol_kind):
-        graph = _GRAPHS[graph_kind]()
-        seeds = [SEED + 900 + index for index in range(2)]
-        batched = [
-            result_tuple(r) for r in execute_plan(_plan(graph, protocol_kind, seeds))
-        ]
-        in_process = [
-            result_tuple(r)
-            for r in execute_plan(_plan(graph, protocol_kind, seeds, shards=k))
-        ]
-        assert in_process == batched
-        for workers in (0, 2, 4):
-            pooled = [
-                result_tuple(r)
-                for r in execute_plan(
-                    _plan(
-                        graph, protocol_kind, seeds, shards=k, shard_workers=workers
-                    )
-                )
-            ]
-            assert pooled == in_process, (k, graph_kind, protocol_kind, workers)
-
-    def test_pool_requires_complete_tables(self):
-        """Lazy-discovery protocols demote to in-process silently (the
-        worker pool must never assign state codes concurrently)."""
-        from repro.sharding.executor import _maybe_start_pool, _resolve_compiled
-
-        graph = cycle(9)
-        seeds = [SEED + 950]
-        plan = _plan(graph, "identifier", seeds, shards=3, shard_workers=2)
-        compiled = _resolve_compiled(plan)
-        assert compiled is not None and not compiled.tables_complete
-        partition = PartitionedGraph(graph, 3)
-        assert _maybe_start_pool(plan, partition, compiled) is None
-
-    def test_pool_used_when_eligible(self):
-        from repro.sharding.executor import _maybe_start_pool, _resolve_compiled
-
+    def test_oracle_matches_on_a_hash_partition(self):
         graph = torus(3, 4)
-        seeds = [SEED + 960]
-        plan = _plan(graph, "token", seeds, shards=3, shard_workers=2)
-        compiled = _resolve_compiled(plan)
-        assert compiled is not None and compiled.tables_complete
-        partition = PartitionedGraph(graph, 3)
-        pool = _maybe_start_pool(plan, partition, compiled)
-        assert pool is not None
-        try:
-            assert pool.n_workers == 2
-        finally:
-            pool.close()
+        seeds = [SEED + 850, SEED + 851]
+        plan = _plan(graph, "token", seeds, shards=3)
+        hashed = PartitionedGraph(graph, 3, mode="hash", seed=7)
+        executed = [result_tuple(r) for r in execute_plan(plan)]
+        oracle = [result_tuple(r) for r in run_sharded_oracle(plan, hashed)]
+        assert executed == oracle
 
 
-def _kill_workers_at_chunk(monkeypatch, chunk):
-    """Make every shard worker ``os._exit(1)`` on its ``chunk``-th super-step.
-
-    ``ShardWorkerPool`` looks ``_worker_main`` up when it creates each
-    process, so the forked workers inherit the patched target; it wraps
-    the worker's connection and dies on receiving the ``chunk``-th
-    (0-based) ``chunk`` message.
-    """
-    import os
-
-    import repro.sharding.pool as pool_module
-
-    worker_main = pool_module._worker_main
-
-    class DyingConnection:
-        def __init__(self, conn):
-            self._conn = conn
-            self._chunks = 0
-
-        def send(self, msg):
-            self._conn.send(msg)
-
-        def recv(self):
-            msg = self._conn.recv()
-            if msg[0] == "chunk":
-                if self._chunks == chunk:
-                    os._exit(1)
-                self._chunks += 1
-            return msg
-
-    def dying_worker_main(conn, *args):
-        worker_main(DyingConnection(conn), *args)
-
-    monkeypatch.setattr(pool_module, "_worker_main", dying_worker_main)
-
-
-class TestWorkerPoolFailure:
-    """Failure paths: a broken or unavailable pool demotes to the
-    in-process sharded path byte-identically."""
-
-    def test_disable_env_var_skips_the_pool(self, monkeypatch):
-        from repro.sharding.executor import _maybe_start_pool, _resolve_compiled
-
-        graph = torus(3, 4)
-        seeds = [SEED + 1000, SEED + 1001]
-        plan = _plan(graph, "token", seeds, shards=4, shard_workers=2)
-        base = [result_tuple(r) for r in execute_plan(plan)]
-        monkeypatch.setenv("REPRO_DISABLE_SHARD_WORKERS", "1")
-        compiled = _resolve_compiled(plan)
-        assert _maybe_start_pool(plan, PartitionedGraph(graph, 4), compiled) is None
-        disabled = [result_tuple(r) for r in execute_plan(plan)]
-        assert disabled == base
-
-    def test_worker_killed_mid_super_step_demotes_identically(self, monkeypatch):
-        graph = torus(3, 4)
-        seeds = [SEED + 1100 + index for index in range(3)]
-        base = [
-            result_tuple(r)
-            for r in execute_plan(_plan(graph, "token", seeds, shards=4))
-        ]
-        # Every worker os._exit(1)s at the start of its third super-step:
-        # the parent sees the dead pipe mid-chunk, closes the pool and
-        # reruns the replica (and all later ones) in-process.
-        _kill_workers_at_chunk(monkeypatch, 2)
-        killed = [
-            result_tuple(r)
-            for r in execute_plan(
-                _plan(graph, "token", seeds, shards=4, shard_workers=2)
-            )
-        ]
-        assert killed == base
-
-    def test_worker_killed_immediately_demotes_identically(self, monkeypatch):
-        graph = cycle(16)
-        seeds = [SEED + 1200]
-        base = [
-            result_tuple(r)
-            for r in execute_plan(_plan(graph, "token", seeds, shards=4))
-        ]
-        _kill_workers_at_chunk(monkeypatch, 0)
-        killed = [
-            result_tuple(r)
-            for r in execute_plan(
-                _plan(graph, "token", seeds, shards=4, shard_workers=4)
-            )
-        ]
-        assert killed == base
-
-
+@needs_kernel
 class TestPerReplicaTiming:
     """wall_time_seconds is measured per replica, never smeared."""
 
@@ -632,6 +508,7 @@ class TestShardStats:
         (result,) = execute_plan(plan)
         assert result.shard_stats is None
 
+    @needs_kernel
     def test_stats_shape_and_accounting(self):
         graph = torus(3, 4)
         plan = _plan(
@@ -640,9 +517,7 @@ class TestShardStats:
         (result,) = execute_plan(plan)
         stats = result.shard_stats
         assert stats is not None
-        assert stats["path"] == "kernel"
         assert stats["shards"] == 3
-        assert stats["workers"] == 0
         assert len(stats["steps_applied"]) == 3
         # Every local draw counts once, every boundary draw once per
         # touched shard; local + boundary = total steps executed.
@@ -659,26 +534,6 @@ class TestShardStats:
         assert stats["exchange_posted"] == stats["exchange_delivered"]
         assert stats["exchange_in_flight"] == 0
 
-    def test_pool_stats_report_the_pool_path(self):
-        graph = torus(3, 4)
-        plan = _plan(
-            graph,
-            "token",
-            [SEED + 1500],
-            shards=3,
-            shard_workers=2,
-            collect_shard_stats=True,
-        )
-        (result,) = execute_plan(plan)
-        baseline = execute_plan(
-            _plan(graph, "token", [SEED + 1500], shards=3, collect_shard_stats=True)
-        )[0]
-        assert result.shard_stats["path"] == "pool"
-        assert result.shard_stats["workers"] == 2
-        # The schedule — hence the stats — is placement-invariant.
-        for key in ("steps_applied", "boundary_pairs", "run_length_histogram"):
-            assert result.shard_stats[key] == baseline.shard_stats[key]
-
     def test_stats_excluded_from_trial_records(self):
         from repro.experiments.harness import trial_record_from_result
 
@@ -689,56 +544,3 @@ class TestShardStats:
         (result,) = execute_plan(plan)
         record = trial_record_from_result(result)
         assert "shard_stats" not in record
-
-
-class TestShardWorkersDial:
-    def test_shard_workers_excluded_from_content_hash(self):
-        from repro.orchestration import get_scenario
-
-        scenario = get_scenario("table1-clique")
-        assert (
-            scenario.with_overrides(shards=4, shard_workers=4).content_hash()
-            == scenario.content_hash()
-        )
-
-    def test_negative_shard_workers_rejected(self):
-        from repro.orchestration.scenario import Scenario, ScenarioError
-
-        with pytest.raises(ScenarioError, match="shard_workers"):
-            Scenario(
-                name="bad-workers",
-                workload="cycle",
-                sizes=(12,),
-                shard_workers=-1,
-            )
-        with pytest.raises(ValueError, match="shard_workers"):
-            compile_plan(
-                [TokenLeaderElection()],
-                cycle(8),
-                [SEED],
-                max_steps=100,
-                shard_workers=-2,
-            )
-
-    def test_unit_plan_wire_round_trip_carries_shard_workers(self):
-        from repro.orchestration.runner import (
-            build_unit_plans,
-            build_work_units,
-            unit_plan_from_wire,
-            unit_plan_to_wire,
-        )
-        from repro.orchestration.scenario import Scenario
-
-        scenario = Scenario(
-            name="wire-shard-workers",
-            workload="cycle",
-            sizes=(12,),
-            repetitions=2,
-            shards=3,
-            shard_workers=2,
-        )
-        units = build_work_units(scenario)
-        plans = build_unit_plans(scenario, units)
-        assert plans and all(plan.shard_workers == 2 for plan in plans)
-        for plan in plans:
-            assert unit_plan_from_wire(unit_plan_to_wire(plan)) == plan
